@@ -12,31 +12,45 @@ The matching problem is encoded as integer arrays once per graph pair:
 A mapping's score is the exact multiset overlap of the two triple sets, so
 the hill climber can never report more than the exhaustive matcher.
 
-These loops dominate corpus scoring time.  They are compiled with numba
-``@njit`` by default; set ``AMRKIT_BACKEND=numpy`` to select the pure
-NumPy/Python fallback (same results, exercised by the benchmark and tests).
+The scoring formula exists in two forms: the loop ``_score_mapping_impl``
+and the vectorized ``_scores``/``_bucket_overlap``, which score one mapping
+or every row of an array of mappings.  ``hill_climb`` is vectorized NumPy on
+every backend.  When numba is installed, ``score_mapping`` and
+``best_mapping`` are compiled with ``@njit``; set ``AMRKIT_BACKEND=numpy``
+to use the NumPy forms instead (same results).  ``BACKEND_REASON`` says why
+the active backend is active, and is logged once at INFO on the ``amrkit``
+logger.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 
 import numpy as np
 
-__all__ = ["BACKEND", "score_mapping", "hill_climb", "best_mapping"]
+__all__ = ["BACKEND", "BACKEND_REASON", "score_mapping", "hill_climb", "best_mapping"]
+
+log = logging.getLogger("amrkit")
 
 _requested = os.environ.get("AMRKIT_BACKEND", "numba").strip().lower()
 if _requested not in ("numba", "numpy"):
     raise ValueError(f"AMRKIT_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
 
-BACKEND = "numpy"
-if _requested == "numba":
+if _requested == "numpy":
+    BACKEND, BACKEND_REASON = "numpy", "AMRKIT_BACKEND=numpy"
+else:
     try:
         from numba import njit as _njit
+    except ImportError:
+        BACKEND, BACKEND_REASON = "numpy", "numba not installed"
+    else:
+        BACKEND, BACKEND_REASON = "numba", "numba"
+log.info("Smatch kernel backend: %s (%s)", BACKEND, BACKEND_REASON)
 
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
+# Rows of candidate mappings scored at once by the exhaustive matcher; bounds
+# its temporaries to a few MB however many mappings it enumerates.
+_ROWS_PER_CHUNK = 1 << 15
 
 
 def _score_mapping_impl(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
@@ -55,89 +69,95 @@ def _score_mapping_impl(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
     return total
 
 
-def _hill_climb_impl(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
+def _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel):
+    """Matched relation triples of each pred bucket under ``mapping``: shape
+    (nb,) for one mapping, (rows, nb) for a 2-D array of mapping rows."""
+    j = mapping[..., rsrc]
+    l = mapping[..., rtgt]
+    ok = (j >= 0) & (l >= 0)
+    g = grel[np.where(ok, j, 0), np.where(ok, l, 0), rlab]
+    return np.where(ok, np.minimum(g, rcnt), 0)
+
+
+def _scores(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
+    """Vectorized ``score_mapping``: the score of one mapping, or of each row
+    of a 2-D array of mappings."""
+    ok = mapping >= 0
+    node = unary[np.arange(unary.shape[0]), np.where(ok, mapping, 0)]
+    overlap = _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel)
+    return np.where(ok, node, 0).sum(axis=-1) + overlap.sum(axis=-1)
+
+
+def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
     """Steepest-ascent local search over single remaps and pairwise swaps.
 
-    Mutates ``mapping`` in place and returns its final score.  Moves are
-    scanned in index order and only strictly improving moves are taken, so
-    the result is deterministic given the starting mapping.
+    Mutates ``mapping`` in place and returns its final score.  Each step
+    scores every move at once from two gain tables: ``remap[i, j]`` for
+    mapping pred variable i to gold variable j (column n2: unmapped) and
+    ``swap[i, k]`` for exchanging the targets of i < k.  The move taken is
+    the first strictly best one in a scan of remaps (by i, then j) followed
+    by swaps (by i, then k), so the result is deterministic given the
+    starting mapping.
     """
     n1, n2 = unary.shape
-    nb = rsrc.shape[0]
-    used = np.full(n2, False)
-    for i in range(n1):
-        if mapping[i] >= 0:
-            used[mapping[i]] = True
+    if n1 == 0 or n2 == 0:
+        return 0
+    cur = int(_scores(mapping, unary, rsrc, rtgt, rlab, rcnt, grel))
 
-    cur = 0
-    for i in range(n1):
-        j = mapping[i]
-        if j >= 0:
-            cur += unary[i, j]
-    for b in range(nb):
-        j = mapping[rsrc[b]]
-        l = mapping[rtgt[b]]
-        if j >= 0 and l >= 0:
-            g = grel[j, l, rlab[b]]
-            c = rcnt[b]
-            cur += g if g < c else c
+    # Column n2 of the gain tables stands for "unmapped".  A self-loop bucket
+    # depends on one variable only, so it scores like a unary term.
+    loop = rsrc == rtgt
+    static = np.zeros((n1, n2 + 1), np.int64)
+    static[:, :n2] = unary
+    diag = np.arange(n2)
+    loop_gain = np.minimum(grel[diag, diag][:, rlab[loop]].T, rcnt[loop][:, None])
+    np.add.at(static[:, :n2], rsrc[loop], loop_gain)
+    src, tgt, lab, cnt = rsrc[~loop], rtgt[~loop], rlab[~loop], rcnt[~loop]
+    pair = (np.minimum(src, tgt), np.maximum(src, tgt))
+    rows = np.arange(n1)
+    upper_i, upper_k = np.triu_indices(n1, 1)
+    used = np.zeros(n2, bool)
+    used[mapping[mapping >= 0]] = True
 
     while True:
-        best_gain = 0
-        best_i = -1
-        best_j = -1
-        best_k = -1
-        for i in range(n1):
-            old = mapping[i]
-            for j in range(n2):
-                if used[j] or j == old:
-                    continue
-                mapping[i] = j
-                s = 0
-                for a in range(n1):
-                    t = mapping[a]
-                    if t >= 0:
-                        s += unary[a, t]
-                for b in range(nb):
-                    t = mapping[rsrc[b]]
-                    u = mapping[rtgt[b]]
-                    if t >= 0 and u >= 0:
-                        g = grel[t, u, rlab[b]]
-                        c = rcnt[b]
-                        s += g if g < c else c
-                mapping[i] = old
-                if s - cur > best_gain:
-                    best_gain = s - cur
-                    best_i = i
-                    best_j = j
-                    best_k = -1
-        for i in range(n1):
-            for k in range(i + 1, n1):
-                if mapping[i] == mapping[k]:
-                    continue
-                tmp = mapping[i]
-                mapping[i] = mapping[k]
-                mapping[k] = tmp
-                s = 0
-                for a in range(n1):
-                    t = mapping[a]
-                    if t >= 0:
-                        s += unary[a, t]
-                for b in range(nb):
-                    t = mapping[rsrc[b]]
-                    u = mapping[rtgt[b]]
-                    if t >= 0 and u >= 0:
-                        g = grel[t, u, rlab[b]]
-                        c = rcnt[b]
-                        s += g if g < c else c
-                tmp = mapping[i]
-                mapping[i] = mapping[k]
-                mapping[k] = tmp
-                if s - cur > best_gain:
-                    best_gain = s - cur
-                    best_i = i
-                    best_k = k
-                    best_j = -1
+        col = np.where(mapping >= 0, mapping, n2)
+        ms, mt = mapping[src], mapping[tgt]
+        ms0, mt0 = np.maximum(ms, 0), np.maximum(mt, 0)
+
+        # held[i, j]: triples matched through i when i alone maps to j, the
+        # other variables fixed; remap is its change from i's current column.
+        held = static.copy()
+        as_src = np.minimum(grel[:, mt0, lab].T, cnt[:, None])
+        as_tgt = np.minimum(grel[ms0, :, lab], cnt[:, None])
+        np.add.at(held[:, :n2], src, np.where(mt[:, None] >= 0, as_src, 0))
+        np.add.at(held[:, :n2], tgt, np.where(ms[:, None] >= 0, as_tgt, 0))
+        remap = held - held[rows, col][:, None]
+
+        # swap[i, k] = remap[i, col[k]] + remap[k, col[i]], corrected for each
+        # bucket joining i and k: both remap terms took off its old value and
+        # scored it with the other end unmoved (seen_s, seen_t), where the
+        # swap moves both ends (moved).
+        swap = remap[:, col]
+        swap = swap + swap.T
+        old = _bucket_overlap(mapping, src, tgt, lab, cnt, grel)
+        moved = np.where((ms >= 0) & (mt >= 0), np.minimum(grel[mt0, ms0, lab], cnt), 0)
+        seen_s = np.where(mt >= 0, np.minimum(grel[mt0, mt0, lab], cnt), 0)
+        seen_t = np.where(ms >= 0, np.minimum(grel[ms0, ms0, lab], cnt), 0)
+        np.add.at(swap, pair, moved + old - seen_s - seen_t)
+
+        best_gain, best_i, best_j, best_k = 0, -1, -1, -1
+        free = np.flatnonzero(~used)
+        if free.size:
+            cand = remap[:, free]
+            p = int(np.argmax(cand))
+            if cand.flat[p] > best_gain:
+                best_i, q = divmod(p, free.size)
+                best_gain, best_j = int(cand.flat[p]), free[q]
+        if upper_i.size:
+            cand = np.where(mapping[upper_i] != mapping[upper_k], swap[upper_i, upper_k], 0)
+            p = int(np.argmax(cand))
+            if cand[p] > best_gain:
+                best_gain, best_i, best_k = int(cand[p]), upper_i[p], upper_k[p]
         if best_gain <= 0:
             return cur
         if best_k < 0:
@@ -146,32 +166,17 @@ def _hill_climb_impl(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
             mapping[best_i] = best_j
             used[best_j] = True
         else:
-            tmp = mapping[best_i]
-            mapping[best_i] = mapping[best_k]
-            mapping[best_k] = tmp
+            mapping[best_i], mapping[best_k] = mapping[best_k], mapping[best_i]
         cur += best_gain
 
 
 def _best_mapping_impl(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
     """Score every candidate mapping row; return (best_row, best_score).
     Ties keep the first row scanned."""
-    n1 = unary.shape[0]
-    nb = rsrc.shape[0]
     best_row = 0
     best = -1
     for r in range(mappings.shape[0]):
-        s = 0
-        for i in range(n1):
-            j = mappings[r, i]
-            if j >= 0:
-                s += unary[i, j]
-        for b in range(nb):
-            j = mappings[r, rsrc[b]]
-            l = mappings[r, rtgt[b]]
-            if j >= 0 and l >= 0:
-                g = grel[j, l, rlab[b]]
-                c = rcnt[b]
-                s += g if g < c else c
+        s = score_mapping(mappings[r], unary, rsrc, rtgt, rlab, rcnt, grel)
         if s > best:
             best = s
             best_row = r
@@ -180,25 +185,17 @@ def _best_mapping_impl(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
 
 def _best_mapping_vec(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
     """Vectorized fallback for the exhaustive matcher."""
-    n1 = unary.shape[0]
-    ok = mappings >= 0
-    safe = np.where(ok, mappings, 0)
-    scores = np.where(ok, unary[np.arange(n1)[None, :], safe], 0).sum(axis=1)
-    for b in range(rsrc.shape[0]):
-        j = mappings[:, rsrc[b]]
-        l = mappings[:, rtgt[b]]
-        valid = (j >= 0) & (l >= 0)
-        g = grel[np.where(valid, j, 0), np.where(valid, l, 0), rlab[b]]
-        scores += np.where(valid, np.minimum(g, rcnt[b]), 0)
+    scores = np.concatenate([
+        _scores(mappings[r:r + _ROWS_PER_CHUNK], unary, rsrc, rtgt, rlab, rcnt, grel)
+        for r in range(0, mappings.shape[0], _ROWS_PER_CHUNK)
+    ])
     r = int(np.argmax(scores))
     return r, int(scores[r])
 
 
 if BACKEND == "numba":
     score_mapping = _njit(cache=True)(_score_mapping_impl)
-    hill_climb = _njit(cache=True)(_hill_climb_impl)
     best_mapping = _njit(cache=True)(_best_mapping_impl)
 else:
     score_mapping = _score_mapping_impl
-    hill_climb = _hill_climb_impl
     best_mapping = _best_mapping_vec

@@ -341,6 +341,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"amrkit: error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("amrkit: error: input nested too deeply", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

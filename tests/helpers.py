@@ -6,6 +6,7 @@ from itertools import product
 
 import numpy as np
 
+from amrkit import _match
 from amrkit.graph import AmrGraph, Edge, Node
 from amrkit.seqmodel import BOS, EOS, SeqModel, ToyCondModel
 
@@ -120,3 +121,46 @@ def deterministic_model(vocab: tuple[str, ...], tokens: list[str]) -> ScriptedMo
     """Puts probability one on tokens[t] at step t, then EOS forever."""
     dists = [one_hot(vocab, t) for t in tokens] + [one_hot(vocab, EOS)]
     return ScriptedModel(vocab, dists)
+
+
+def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
+    """Brute-force form of ``_match.hill_climb``: every candidate move is
+    rescored from scratch with ``_match.score_mapping``.  Remaps (by i, then
+    j) are scanned before swaps (by i, then k > i) and only a strictly better
+    move replaces the best so far.  Mutates ``mapping``; returns its score."""
+    args = (unary, rsrc, rtgt, rlab, rcnt, grel)
+    n1, n2 = unary.shape
+    used = np.zeros(n2, bool)
+    used[mapping[mapping >= 0]] = True
+    cur = _match.score_mapping(mapping, *args)
+    while True:
+        best_gain, best_i, best_j, best_k = 0, -1, -1, -1
+        for i in range(n1):
+            old = mapping[i]
+            for j in range(n2):
+                if used[j] or j == old:
+                    continue
+                mapping[i] = j
+                gain = _match.score_mapping(mapping, *args) - cur
+                mapping[i] = old
+                if gain > best_gain:
+                    best_gain, best_i, best_j, best_k = gain, i, j, -1
+        for i in range(n1):
+            for k in range(i + 1, n1):
+                if mapping[i] == mapping[k]:
+                    continue
+                mapping[[i, k]] = mapping[[k, i]]
+                gain = _match.score_mapping(mapping, *args) - cur
+                mapping[[i, k]] = mapping[[k, i]]
+                if gain > best_gain:
+                    best_gain, best_i, best_j, best_k = gain, i, -1, k
+        if best_gain <= 0:
+            return cur
+        if best_k < 0:
+            if mapping[best_i] >= 0:
+                used[mapping[best_i]] = False
+            mapping[best_i] = best_j
+            used[best_j] = True
+        else:
+            mapping[[best_i, best_k]] = mapping[[best_k, best_i]]
+        cur += best_gain

@@ -61,6 +61,14 @@ class TestExitCodes:
     def test_missing_file_is_exit_two(self):
         assert run(["parse", "--in", "/nonexistent/x.amr"]) == 2
 
+    def test_deeply_nested_input_is_exit_two(self, tmp_path, capsys):
+        depth = 1200
+        deep = tmp_path / "deep.amr"
+        chain = "".join(f"(n{i} / thing :ARG0 " for i in range(depth))
+        deep.write_text(chain + "(e / end)" + ")" * depth + "\n")
+        assert run(["parse", "--in", str(deep), "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
 
 class TestSmatchCommand:
     def test_self_comparison_scores_one(self, amr_file, capsys):

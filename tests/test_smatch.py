@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrkit import _match
 from amrkit.errors import TooLarge
@@ -15,10 +21,37 @@ from amrkit.smatch import (
     smatch_hill_climb,
 )
 
-from .helpers import random_graph, rename_vars
+from .helpers import random_graph, reference_hill_climb, rename_vars
 
 WANT_BOY = parse_penman("(w / want-01 :ARG0 (b / boy))")
 WANT_GIRL = parse_penman("(w / want-01 :ARG0 (g / girl))")
+
+
+@st.composite
+def kernel_problems(draw, max_vars=6, max_labels=3):
+    """Raw kernel arrays and an injective start mapping, outside what
+    ``_Problem`` builds: either side may be empty, buckets may be self-loops,
+    repeat a pattern or carry multiplicities above one, and the start may
+    leave variables unmapped."""
+    n1 = draw(st.integers(0, max_vars))
+    n2 = draw(st.integers(0, max_vars))
+    n_lab = draw(st.integers(1, max_labels))
+    small = st.integers(0, 3)
+    unary = np.array(draw(st.lists(small, min_size=n1 * n2, max_size=n1 * n2)), np.int64)
+    n_grel = n2 * n2 * n_lab
+    grel = np.array(draw(st.lists(small, min_size=n_grel, max_size=n_grel)), np.int64)
+    buckets = draw(st.lists(
+        st.tuples(st.integers(0, n1 - 1), st.integers(0, n1 - 1),
+                  st.integers(0, n_lab - 1), st.integers(1, 3)),
+        max_size=3 * n1,
+    )) if n1 else []
+    rsrc, rtgt, rlab, rcnt = np.array(buckets, np.int64).reshape(-1, 4).T.copy()
+    k = draw(st.integers(0, min(n1, n2)))
+    rows = draw(st.permutations(range(n1)))[:k]
+    cols = draw(st.permutations(range(n2)))[:k]
+    init = np.full(n1, -1, np.int64)
+    init[list(rows)] = cols
+    return init, (unary.reshape(n1, n2), rsrc, rtgt, rlab, rcnt, grel.reshape(n2, n2, n_lab))
 
 
 class TestFixtures:
@@ -175,7 +208,7 @@ class TestBackendParity:
     def test_hill_climb_backends_agree(self):
         rng = np.random.RandomState(32)
         for _ in range(25):
-            pred, gold = random_graph(rng, 6), random_graph(rng, 6)
+            pred, gold = random_graph(rng, 20), random_graph(rng, 20)
             prob = _Problem(pred, gold)
             n1, n2 = prob.unary.shape
             k = min(n1, n2)
@@ -183,9 +216,33 @@ class TestBackendParity:
             init[rng.permutation(n1)[:k]] = rng.permutation(n2)[:k]
             m1, m2 = init.copy(), init.copy()
             s1 = _match.hill_climb(m1, *prob.kernel_args())
-            s2 = _match._hill_climb_impl(m2, *prob.kernel_args())
+            s2 = reference_hill_climb(m2, *prob.kernel_args())
             assert s1 == s2
             assert np.array_equal(m1, m2)
+
+    def test_backend_reason_is_logged(self):
+        code = (
+            "import logging\n"
+            "logging.basicConfig(level=logging.INFO, format='%(name)s %(message)s')\n"
+            "from amrkit import _match; print(_match.BACKEND, _match.BACKEND_REASON)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "AMRKIT_BACKEND": "numpy"},
+            capture_output=True, text=True, check=True,
+        )
+        assert out.stdout == "numpy AMRKIT_BACKEND=numpy\n"
+        assert "amrkit Smatch kernel backend: numpy (AMRKIT_BACKEND=numpy)" in out.stderr
+        assert _match.BACKEND_REASON in ("numba", "AMRKIT_BACKEND=numpy", "numba not installed")
+
+    @given(kernel_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_hill_climb_matches_reference_on_raw_kernels(self, problem):
+        init, args = problem
+        m1, m2 = init.copy(), init.copy()
+        s1 = _match.hill_climb(m1, *args)
+        s2 = reference_hill_climb(m2, *args)
+        assert s1 == s2
+        assert np.array_equal(m1, m2)
 
 
 class TestCorpus:
