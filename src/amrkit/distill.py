@@ -256,6 +256,9 @@ def train(
     tok_plus_seq does both on the teacher-generated target.  Passing a
     ``noise`` spec re-noises each student input from x* on every call
     (resampled noise); by default inputs are used exactly as recorded.
+    A record whose target holds a token outside the model's vocabulary (a
+    repair placeholder such as ``amr-empty``, say) is skipped with a log
+    line, before it changes any count.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -263,10 +266,15 @@ def train(
     if needs_teacher and teacher is None:
         raise ValueError(f"objective {objective!r} requires a teacher model")
 
+    vocab = set(model.vocab)
     for batch in batches:
         for rec in batch.records:
             if rec.y is None:
                 raise ValueError(f"objective {objective!r} requires a target on every record")
+            unknown = [tok for tok in rec.y if tok not in vocab]
+            if unknown:
+                log.warning("training record skipped: token %r not in vocabulary", unknown[0])
+                continue
             x = rec.x
             if noise is not None:
                 x = tuple(

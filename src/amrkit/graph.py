@@ -228,7 +228,7 @@ def parse_penman(text: str) -> AmrGraph:
     raw_edges: list[tuple[str, str, str]] = []
     def_order: list[str] = []
 
-    def parse_node() -> str:
+    def open_node() -> str:
         tok = take()
         if tok != "(":
             raise MalformedPenman(f"expected '(' but found {tok!r}")
@@ -244,29 +244,30 @@ def parse_penman(text: str) -> AmrGraph:
             raise MalformedPenman(f"duplicate definition of variable {var!r}")
         concepts[var] = concept
         def_order.append(var)
-        while True:
-            tok = peek()
-            if tok == ")":
-                take()
-                return var
-            if tok is None:
-                raise MalformedPenman("unexpected end of input (unbalanced parentheses)")
-            if not tok.startswith(":") or tok == ":":
-                raise MalformedPenman(f"expected relation or ')', found {tok!r}")
-            label = take()
-            val = peek()
-            if val == "(":
-                raw_edges.append((var, label, ""))
-                slot = len(raw_edges) - 1
-                child = parse_node()
-                raw_edges[slot] = (var, label, child)
-            elif val is None or val == ")" or val == "/" or val.startswith(":"):
-                raise MalformedPenman(f"relation {label!r} has no value")
-            else:
-                raw_edges.append((var, label, take()))
-        # unreachable
+        return var
 
-    root = parse_node()
+    root = open_node()
+    stack = [root]  # variables of the open nodes, innermost last
+    while stack:
+        tok = peek()
+        if tok == ")":
+            take()
+            stack.pop()
+            continue
+        if tok is None:
+            raise MalformedPenman("unexpected end of input (unbalanced parentheses)")
+        if not tok.startswith(":") or tok == ":":
+            raise MalformedPenman(f"expected relation or ')', found {tok!r}")
+        label = take()
+        val = peek()
+        if val == "(":
+            child = open_node()
+            raw_edges.append((stack[-1], label, child))
+            stack.append(child)
+        elif val is None or val == ")" or val == "/" or val.startswith(":"):
+            raise MalformedPenman(f"relation {label!r} has no value")
+        else:
+            raw_edges.append((stack[-1], label, take()))
     if pos != len(tokens):
         raise MalformedPenman(f"trailing content after graph: {tokens[pos]!r}")
 
@@ -299,23 +300,32 @@ def serialize_penman(g: AmrGraph) -> str:
     lines when present).  The first mention of a node is expanded; later
     mentions emit the variable only.  Whitespace is normalized."""
     visited: set[str] = set()
+    parts: list[str] = []
+    stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
 
-    def emit(node_id: str) -> str:
+    def expand(node_id: str) -> None:
         node = g.node(node_id)
         visited.add(node_id)
-        pieces = [f"({node.id} / {node.concept}"]
-        for e in g.outgoing(node_id):
+        parts.append(f"({node.id} / {node.concept}")
+        stack.append(iter(g.outgoing(node_id)))
+
+    expand(g.root)
+    while stack:
+        for e in stack[-1]:
             tgt = g.node(e.tgt)
             if tgt.constant:
-                val = tgt.concept
+                parts.append(f" {e.label} {tgt.concept}")
             elif e.tgt in visited:
-                val = tgt.id
+                parts.append(f" {e.label} {tgt.id}")
             else:
-                val = emit(e.tgt)
-            pieces.append(f"{e.label} {val}")
-        return " ".join(pieces) + ")"
+                parts.append(f" {e.label} ")
+                expand(e.tgt)
+                break
+        else:
+            parts.append(")")
+            stack.pop()
 
-    body = emit(g.root)
+    body = "".join(parts)
     # constant targets never enter `visited`
     reachable = visited | {e.tgt for e in g.edges if g.node(e.tgt).constant}
     if len(reachable) != len(g.nodes):

@@ -12,6 +12,7 @@ and the graph is recoverable without loss.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .errors import AmrkitError
 from .graph import AmrGraph, Edge, Node
@@ -85,12 +86,16 @@ def linearize(g: AmrGraph) -> list[str]:
     emit its variable token only.  Constants are emitted inline."""
     index: dict[str, int] = {}
     tokens: list[str] = []
+    stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
 
-    def visit(node_id: str) -> None:
-        node = g.node(node_id)
+    def expand(node_id: str) -> None:
         index[node_id] = len(index)
-        tokens.extend(["(", var_token(index[node_id]), node.concept])
-        for e in g.outgoing(node_id):
+        tokens.extend(["(", var_token(index[node_id]), g.node(node_id).concept])
+        stack.append(iter(g.outgoing(node_id)))
+
+    expand(g.root)
+    while stack:
+        for e in stack[-1]:
             tokens.append(e.label)
             tgt = g.node(e.tgt)
             if tgt.constant:
@@ -98,10 +103,11 @@ def linearize(g: AmrGraph) -> list[str]:
             elif e.tgt in index:
                 tokens.append(var_token(index[e.tgt]))
             else:
-                visit(e.tgt)
-        tokens.append(")")
-
-    visit(g.root)
+                expand(e.tgt)
+                break
+        else:
+            tokens.append(")")
+            stack.pop()
     return tokens
 
 
@@ -125,14 +131,16 @@ def delinearize(tokens: list[str]) -> AmrGraph:
     edges: list[Edge] = []
     defined: dict[int, str] = {}
     const_ids: dict[str, str] = {}
+    taken: set[str] = set()
 
     def const_node(literal: str) -> str:
         cid = const_ids.get(literal)
         if cid is None:
             cid = literal
             # ids matching v<digits> are reserved for minted variables
-            while re.fullmatch(r"v\d+", cid) or cid in const_ids.values():
+            while re.fullmatch(r"v\d+", cid) or cid in taken:
                 cid += "_"
+            taken.add(cid)
             const_ids[literal] = cid
             nodes.append(Node(cid, literal, constant=True))
         return cid

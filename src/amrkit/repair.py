@@ -2,45 +2,46 @@
 
 ``repair`` turns an arbitrary token list into a valid linearization that
 ``delinearize`` accepts.  It is total, idempotent, and leaves valid input
-untouched.  Fixes are applied in a fixed order, iterated to a fixpoint:
+untouched.  One left-to-right walk over the group grammar, with an explicit
+stack of open groups, emits only tokens that have a legal position, so its
+output is valid by construction.  As it goes it
 
-1. drop unmatched ``)``;
-2. drop invalid segments: dangling relations (no following value), stray
-   values and subgraphs appearing where the grammar allows none, empty
-   groups, junk tokens, and anything outside the first top-level group;
-3. insert missing pieces after a ``(``: a fresh variable token when absent,
-   the placeholder concept ``amr-unknown`` when absent;
-4. append missing ``)``;
-5. renumber variable tokens to 0..n-1 in first-visit order (duplicate
-   definitions become fresh variables) and drop references to variables
-   never defined before the reference point.
+- drops an unmatched ``)`` (``parens_dropped``);
+- drops invalid segments (``segments_removed``, one per segment): content
+  before the first ``(`` and after the first top-level group (each one
+  segment), stray values, junk tokens, a subgroup where the grammar allows
+  none (skipped whole), a dangling relation with no value, and an empty
+  group ``( )`` together with the relation that introduced it;
+- drops a reference to a variable not defined before it together with its
+  relation (two segments);
+- mints a variable for a group that lacks one and inserts the placeholder
+  concept ``amr-unknown`` where a concept is missing
+  (``concepts_inserted``); a group still open at end of input is kept and
+  completed this way;
+- closes the groups left open at end of input (``parens_added``);
+- renumbers variable tokens to 0..n-1 in first-visit order, so a duplicate
+  definition becomes a fresh variable.  ``vars_renumbered`` counts each
+  kept variable token whose index changed; a minted variable counts when
+  its index differs from ``M + 1 + k``, where ``M`` is the largest variable
+  index the walk kept and ``k`` is the mint's order.
 
-Anything still unusable afterwards (for example, no group at all) falls back
-to the single-node sequence ``( <V0> amr-empty )`` so downstream scoring is
-always defined.
+When nothing is left (for example, no group at all) the result is the
+single-node sequence ``FALLBACK`` = ``( <V0> amr-empty )``, so downstream
+scoring is always defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .linearize import (
-    CLOSE,
-    LIT,
-    OPEN,
-    REL,
-    VAR,
-    classify,
-    validate_linear,
-    var_index,
-    var_token,
-)
+from .linearize import CLOSE, LIT, OPEN, REL, VAR, classify, var_index, var_token
 
 __all__ = ["RepairReport", "repair", "repair_with_report", "repair_pass_report", "FALLBACK"]
 
 FALLBACK = ["(", var_token(0), "amr-empty", ")"]
 
-_MAX_PASSES = 32
+# what an open group expects next: its variable, its concept, or relations
+_SLOT_VAR, _SLOT_CONCEPT, _SLOT_REL = range(3)
 
 
 @dataclass
@@ -76,213 +77,135 @@ def repair_pass_report(tokens: list[str]) -> RepairReport:
     return repair_with_report(tokens)[1]
 
 
+def _skip_span(toks: list[str], i: int) -> int:
+    """Index just past the balanced subgroup that starts at ``toks[i] == '('``."""
+    depth = 0
+    while i < len(toks):
+        if toks[i] == "(":
+            depth += 1
+        elif toks[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+        i += 1
+    return i
+
+
+def _skip_outside(toks: list[str], rep: RepairReport) -> None:
+    """Count a stretch outside the top-level group: each ``)`` with no open
+    ``(`` before it is an unmatched paren, and the rest is one segment."""
+    depth = 0
+    junk = False
+    for t in toks:
+        if t == ")" and depth == 0:
+            rep.parens_dropped += 1
+            continue
+        junk = True
+        depth += (t == "(") - (t == ")")
+    if junk:
+        rep.segments_removed += 1
+
+
 def repair_with_report(tokens: list[str]) -> tuple[list[str], RepairReport]:
     rep = RepairReport()
     toks = [str(t) for t in tokens]
-    for _ in range(_MAX_PASSES):
-        new = _drop_unmatched_close(toks, rep)
-        new = _drop_invalid_segments(new, rep)
-        new = _insert_missing(new, rep)
-        new = _close_open_groups(new, rep)
-        new = _renumber(new, rep)
-        if new == toks:
-            break
-        toks = new
-    if not toks or not validate_linear(toks):
+    n = len(toks)
+    start = toks.index("(") if "(" in toks else n
+    _skip_outside(toks[:start], rep)
+
+    out: list[str] = []
+    first_def: dict[int, int] = {}  # original index -> new index of its first definition
+    defined = 0
+    top = -1  # largest variable index kept
+    mints: list[int] = []  # new indices of minted variables, in minting order
+    # Slots of the open groups, innermost last.  A group in _SLOT_VAR has
+    # emitted nothing yet: ``held`` keeps its '(' and the relation that
+    # introduced it until a token shows the group is not empty.
+    stack: list[int] = []
+    held: list[str] = []
+
+    def define(var: str | None) -> None:
+        nonlocal defined, top
+        out.extend(held)
+        held.clear()
+        if var is None:
+            mints.append(defined)
+        else:
+            orig = var_index(var)
+            top = max(top, orig)
+            first_def.setdefault(orig, defined)
+            rep.vars_renumbered += orig != defined
+        out.append(var_token(defined))
+        defined += 1
+
+    def fill_concept(slot: int) -> None:
+        # a relation, ')' or end of input reached the group before a concept
+        if slot == _SLOT_VAR:
+            define(None)
+        if slot != _SLOT_REL:
+            out.append("amr-unknown")
+            rep.concepts_inserted += 1
+        stack[-1] = _SLOT_REL
+
+    if start < n:
+        stack.append(_SLOT_VAR)
+        held.append("(")
+    i = start + 1
+    while i < n and stack:
+        tok = toks[i]
+        kls = classify(tok)
+        slot = stack[-1]
+        if kls == CLOSE:
+            if slot == _SLOT_VAR:
+                held.clear()  # empty group, with the relation that introduced it
+                rep.segments_removed += 1
+            else:
+                fill_concept(slot)
+                out.append(")")
+            stack.pop()
+            i += 1
+        elif kls == VAR and slot == _SLOT_VAR:
+            define(tok)
+            stack[-1] = _SLOT_CONCEPT
+            i += 1
+        elif kls == LIT and not tok.startswith('"') and slot != _SLOT_REL:
+            if slot == _SLOT_VAR:
+                define(None)
+            out.append(tok)
+            stack[-1] = _SLOT_REL
+            i += 1
+        elif kls == REL:
+            fill_concept(slot)
+            nxt = classify(toks[i + 1]) if i + 1 < n else None
+            if nxt == OPEN:
+                held.extend((tok, "("))
+                stack.append(_SLOT_VAR)
+            elif nxt == VAR:
+                orig = var_index(toks[i + 1])
+                top = max(top, orig)
+                if orig in first_def:
+                    rep.vars_renumbered += first_def[orig] != orig
+                    out.extend((tok, var_token(first_def[orig])))
+                else:
+                    rep.segments_removed += 2  # undefined reference and its relation
+            elif nxt == LIT:
+                out.extend((tok, toks[i + 1]))
+            else:
+                rep.segments_removed += 1  # dangling relation
+                i += 1
+                continue
+            i += 2
+        else:
+            rep.segments_removed += 1
+            i = _skip_span(toks, i) if kls == OPEN else i + 1
+
+    if stack:
+        fill_concept(stack[-1])
+        rep.parens_added += len(stack)
+        out.extend([")"] * len(stack))
+    _skip_outside(toks[i:], rep)
+    rep.vars_renumbered += sum(new != top + 1 + k for k, new in enumerate(mints))
+    if not out:
         rep.fell_back = True
         return list(FALLBACK), rep
-    return toks, rep
-
-
-# ---------------------------------------------------------------------------
-# pass 1
-
-def _drop_unmatched_close(toks: list[str], rep: RepairReport) -> list[str]:
-    out: list[str] = []
-    depth = 0
-    for t in toks:
-        if t == ")":
-            if depth == 0:
-                rep.parens_dropped += 1
-                continue
-            depth -= 1
-        elif t == "(":
-            depth += 1
-        out.append(t)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pass 2: a tolerant walk of the group grammar that keeps only tokens with a
-# legal position, treating end-of-input as an implicit close.
-
-_SLOT_VAR, _SLOT_CONCEPT, _SLOT_REL = range(3)
-
-
-def _is_value_start(kls: str) -> bool:
-    return kls in (OPEN, VAR, LIT)
-
-
-def _drop_invalid_segments(toks: list[str], rep: RepairReport) -> list[str]:
-    n = len(toks)
-
-    def skip_span(i: int) -> int:
-        # consume a balanced subgroup starting at an unwanted '('
-        depth = 0
-        while i < n:
-            if toks[i] == "(":
-                depth += 1
-            elif toks[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    return i + 1
-            i += 1
-        return n
-
-    def walk(i: int) -> tuple[list[str], int]:
-        # toks[i] == '('
-        out = ["("]
-        i += 1
-        slot = _SLOT_VAR
-        while i < n:
-            tok = toks[i]
-            kls = classify(tok)
-            if kls == CLOSE:
-                if slot == _SLOT_VAR:
-                    # nothing inside: the whole group is an invalid segment
-                    rep.segments_removed += 1
-                    return [], i + 1
-                out.append(")")
-                return out, i + 1
-            if slot == _SLOT_VAR:
-                if kls == VAR:
-                    out.append(tok)
-                    slot = _SLOT_CONCEPT
-                    i += 1
-                elif kls == LIT and not tok.startswith('"'):
-                    out.append(tok)  # concept without variable; pass 3 mints one
-                    slot = _SLOT_REL
-                    i += 1
-                elif kls == REL:
-                    slot = _SLOT_REL  # variable and concept missing; reprocess
-                else:
-                    rep.segments_removed += 1
-                    i = skip_span(i) if kls == OPEN else i + 1
-            elif slot == _SLOT_CONCEPT:
-                if kls == LIT and not tok.startswith('"'):
-                    out.append(tok)
-                    slot = _SLOT_REL
-                    i += 1
-                elif kls == REL:
-                    slot = _SLOT_REL  # concept missing; pass 3 inserts it
-                else:
-                    rep.segments_removed += 1
-                    i = skip_span(i) if kls == OPEN else i + 1
-            else:  # _SLOT_REL: expect relation or close
-                if kls == REL:
-                    nxt = classify(toks[i + 1]) if i + 1 < n else None
-                    if nxt is not None and _is_value_start(nxt):
-                        if nxt == OPEN:
-                            sub, i = walk(i + 1)
-                            if sub:
-                                out.append(tok)
-                                out.extend(sub)
-                            # empty subgroup already counted; relation goes with it
-                        else:
-                            out.extend([tok, toks[i + 1]])
-                            i += 2
-                    else:
-                        rep.segments_removed += 1  # dangling relation
-                        i += 1
-                else:
-                    rep.segments_removed += 1
-                    i = skip_span(i) if kls == OPEN else i + 1
-        return out, i  # end of input: group left open for pass 4
-
-    out: list[str] = []
-    i = 0
-    while i < n and toks[i] != "(":
-        i += 1
-    if i > 0:
-        rep.segments_removed += 1
-    if i < n:
-        body, i = walk(i)
-        out.extend(body)
-    if i < n:
-        rep.segments_removed += 1  # content after the top-level group
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pass 3
-
-def _insert_missing(toks: list[str], rep: RepairReport) -> list[str]:
-    fresh = max((var_index(t) for t in toks if classify(t) == VAR), default=-1) + 1
-    out: list[str] = []
-    i = 0
-    n = len(toks)
-    while i < n:
-        tok = toks[i]
-        out.append(tok)
-        if tok == "(":
-            nxt = toks[i + 1] if i + 1 < n else None
-            if nxt is None or classify(nxt) != VAR:
-                out.append(var_token(fresh))
-                fresh += 1
-                if nxt is None or classify(nxt) != LIT:
-                    out.append("amr-unknown")
-                    rep.concepts_inserted += 1
-            else:
-                after = toks[i + 2] if i + 2 < n else None
-                if after is None or classify(after) != LIT:
-                    out.append(nxt)
-                    out.append("amr-unknown")
-                    rep.concepts_inserted += 1
-                    i += 1
-        i += 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pass 4
-
-def _close_open_groups(toks: list[str], rep: RepairReport) -> list[str]:
-    depth = 0
-    for t in toks:
-        if t == "(":
-            depth += 1
-        elif t == ")":
-            depth -= 1
-    if depth > 0:
-        rep.parens_added += depth
-        return toks + [")"] * depth
-    return toks
-
-
-# ---------------------------------------------------------------------------
-# pass 5
-
-def _renumber(toks: list[str], rep: RepairReport) -> list[str]:
-    out: list[str] = []
-    first_def: dict[int, int] = {}
-    counter = 0
-    for i, tok in enumerate(toks):
-        if classify(tok) != VAR:
-            out.append(tok)
-            continue
-        orig = var_index(tok)
-        if i > 0 and toks[i - 1] == "(":
-            new = counter
-            counter += 1
-            first_def.setdefault(orig, new)
-            if new != orig:
-                rep.vars_renumbered += 1
-            out.append(var_token(new))
-        elif orig in first_def:
-            new = first_def[orig]
-            if new != orig:
-                rep.vars_renumbered += 1
-            out.append(var_token(new))
-        else:
-            rep.segments_removed += 1  # reference to an undefined variable
-    return out
+    return out, rep

@@ -62,12 +62,22 @@ class TestExitCodes:
         assert run(["parse", "--in", "/nonexistent/x.amr"]) == 2
 
     def test_deeply_nested_input_is_exit_two(self, tmp_path, capsys):
+        # the JSON decoder recurses per nesting level
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "\n")
+        assert run(["stats", "--in", str(deep), "--format", "table"]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_deeply_nested_penman_parses(self, tmp_path):
         depth = 1200
         deep = tmp_path / "deep.amr"
-        chain = "".join(f"(n{i} / thing :ARG0 " for i in range(depth))
-        deep.write_text(chain + "(e / end)" + ")" * depth + "\n")
-        assert run(["parse", "--in", str(deep), "--out", str(tmp_path / "out.jsonl")]) == 2
-        assert "nested too deeply" in capsys.readouterr().err
+        penman = "".join(f"(n{i} / thing :ARG0 " for i in range(depth)) + "(e / end)" + ")" * depth
+        deep.write_text(penman + "\n")
+        out = tmp_path / "out.jsonl"
+        assert run(["parse", "--in", str(deep), "--out", str(out)]) == 0
+        assert [json.loads(line) for line in out.read_text().splitlines()] == [
+            {"metadata": {}, "penman": penman}
+        ]
 
 
 class TestSmatchCommand:

@@ -412,6 +412,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(m, [KdBatch((KdRecord(("s",), ("s",), None),))], "mle")
 
+    def test_seq_kd_target_outside_vocabulary_skipped(self, caplog):
+        # an untrained teacher's output repairs to the fallback, whose
+        # placeholder concept this vocabulary lacks
+        vocab = (BOS, EOS, "(", ")", "<V0>", "boy", ":ARG0")
+        teacher = ToyCondModel(vocab)
+        records = seq_kd_build(teacher, ["the boy", "a boy"], NoiseSpec("none"), beam_size=2, max_len=8)
+        assert [r.tgt for r in records] == [("(", "<V0>", "amr-empty", ")")] * 2
+        student = ToyCondModel(vocab)
+        with caplog.at_level("WARNING", logger="amrkit.distill"):
+            train(student, kd_batches_from_corpus(records), "seq_kd")
+        assert not student.counts
+        assert caplog.text.count("'amr-empty' not in vocabulary") == 2
+
 
 class TestKdBatchesFromCorpus:
     def test_round_trip_fields(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrkit.graph import parse_penman
+from amrkit.graph import parse_penman, serialize_penman
 from amrkit.linearize import (
     InvalidLinearization,
     delinearize,
@@ -12,6 +12,7 @@ from amrkit.linearize import (
     to_line,
     validate_linear,
 )
+from amrkit.repair import RepairReport, repair_with_report
 from amrkit.smatch import smatch_exact
 
 from .helpers import random_graph
@@ -99,6 +100,13 @@ class TestDelinearize:
         const = [n for n in g.nodes if n.constant]
         assert len(const) == 1 and const[0].concept == "v0" and const[0].id != "v0"
 
+    def test_constant_ids_pinned(self):
+        g = delinearize(from_line("( <V0> a :op1 v1 :op2 c :op3 c_ :op4 v1_ :op5 c :op6 ( <V1> b ) )"))
+        assert [(n.id, n.concept) for n in g.nodes if n.constant] == [
+            ("v1_", "v1"), ("c", "c"), ("c_", "c_"), ("v1__", "v1_"),
+        ]
+        assert [e.tgt for e in g.edges] == ["v1_", "c", "c_", "v1__", "c", "v1"]
+
 
 class TestRoundTrip:
     @given(graphs())
@@ -111,6 +119,26 @@ class TestRoundTrip:
     @settings(max_examples=50, deadline=None)
     def test_graph_isomorphism(self, g):
         assert smatch_exact(g, delinearize(linearize(g))).f1 == 1.0
+
+
+    def test_depth_10000_chain(self):
+        depth = 10_000
+        text = (
+            "".join(f"(n{i} / thing :ARG0 " for i in range(depth))
+            + "(e / end :polarity - :ARG1 n0)" + ")" * depth
+        )
+        g = parse_penman(text)
+        assert len(g.nodes) == depth + 2 and len(g.edges) == depth + 2
+        assert serialize_penman(g) == text
+        tokens = linearize(g)
+        assert tokens[-depth - 8:] == [
+            "(", f"<V{depth}>", "end", ":polarity", "-", ":ARG1", "<V0>", ")",
+        ] + [")"] * depth
+        assert from_line(to_line(tokens)) == tokens
+        assert linearize(delinearize(tokens)) == tokens
+        fixed, rep = repair_with_report(tokens)
+        assert fixed == tokens
+        assert rep.as_dict() == RepairReport().as_dict()
 
 
 class TestLineFormat:

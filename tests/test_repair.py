@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrkit.linearize import delinearize, from_line, linearize, to_line, validate_linear
-from amrkit.repair import FALLBACK, repair, repair_pass_report, repair_with_report
+from amrkit.repair import FALLBACK, RepairReport, repair, repair_pass_report, repair_with_report
 
 from .helpers import random_graph
 
@@ -23,6 +24,11 @@ ALPHABET = [
     "<V1>",
     "<V2>",
     "<V5>",
+    ":",
+    "",
+    "a/b",
+    "<V12>",
+    "amr-unknown",
 ]
 
 fuzz_tokens = st.lists(st.sampled_from(ALPHABET), max_size=200)
@@ -111,6 +117,25 @@ class TestScenarios:
     def test_stray_value_without_relation_dropped(self):
         fixed, _ = repair_with_report(from_line("( <V0> a boy )"))
         assert to_line(fixed) == "( <V0> a )"
+
+    @pytest.mark.parametrize(
+        "line, expected, fixes",
+        [
+            ("( <V0> a :ARG0 (", "( <V0> a :ARG0 ( <V1> amr-unknown ) )",
+             {"parens_added": 2, "concepts_inserted": 1}),
+            ("( :ARG0 )", "( <V0> amr-unknown )", {"segments_removed": 1, "concepts_inserted": 1}),
+            ("( <V0> a :ARG0 <V1> :ARG1 ( <V1> b ) )", "( <V0> a :ARG1 ( <V1> b ) )",
+             {"segments_removed": 2}),
+            ("( <V3> a :ARG0 ( boy ) )", "( <V0> a :ARG0 ( <V1> boy ) )", {"vars_renumbered": 2}),
+            ("boy ) ( <V0> a ) ) ( <V1> b )", "( <V0> a )",
+             {"parens_dropped": 2, "segments_removed": 2}),
+            ("( ( ) )", to_line(FALLBACK), {"segments_removed": 2, "fell_back": True}),
+        ],
+    )
+    def test_fix_counts(self, line, expected, fixes):
+        fixed, rep = repair_with_report(from_line(line))
+        assert to_line(fixed) == expected
+        assert rep.as_dict() == {**RepairReport().as_dict(), **fixes}
 
     def test_fallback_delinearizes(self):
         g = delinearize(FALLBACK)
