@@ -10,63 +10,23 @@ The matching problem is encoded as integer arrays once per graph pair:
 - ``grel[j, l, lab]``: gold multiplicity of relation pattern (j, label, l).
 
 A mapping's score is the exact multiset overlap of the two triple sets, so
-the hill climber can never report more than the exhaustive matcher.
-
-The scoring formula exists in two forms: the loop ``_score_mapping_impl``
-and the vectorized ``_scores``/``_bucket_overlap``, which score one mapping
-or every row of an array of mappings.  ``hill_climb`` is vectorized NumPy on
-every backend.  When numba is installed, ``score_mapping`` and
-``best_mapping`` are compiled with ``@njit``; set ``AMRKIT_BACKEND=numpy``
-to use the NumPy forms instead (same results).  ``BACKEND_REASON`` says why
-the active backend is active, and is logged once at INFO on the ``amrkit``
-logger.
+the hill climber can never report more than the exhaustive matcher.  Every
+kernel is vectorized NumPy: ``score_mapping`` scores one mapping or every
+row of an array of mappings, ``hill_climb`` is the local search and
+``best_mapping`` the exhaustive matcher's arg-max.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
 
-__all__ = ["BACKEND", "BACKEND_REASON", "score_mapping", "hill_climb", "best_mapping"]
+__all__ = ["BACKEND", "score_mapping", "hill_climb", "best_mapping"]
 
-log = logging.getLogger("amrkit")
-
-_requested = os.environ.get("AMRKIT_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    raise ValueError(f"AMRKIT_BACKEND must be 'numba' or 'numpy', got {_requested!r}")
-
-if _requested == "numpy":
-    BACKEND, BACKEND_REASON = "numpy", "AMRKIT_BACKEND=numpy"
-else:
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        BACKEND, BACKEND_REASON = "numpy", "numba not installed"
-    else:
-        BACKEND, BACKEND_REASON = "numba", "numba"
-log.info("Smatch kernel backend: %s (%s)", BACKEND, BACKEND_REASON)
+BACKEND = "numpy"
 
 # Rows of candidate mappings scored at once by the exhaustive matcher; bounds
 # its temporaries to a few MB however many mappings it enumerates.
 _ROWS_PER_CHUNK = 1 << 15
-
-
-def _score_mapping_impl(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
-    total = 0
-    for i in range(mapping.shape[0]):
-        j = mapping[i]
-        if j >= 0:
-            total += unary[i, j]
-    for b in range(rsrc.shape[0]):
-        j = mapping[rsrc[b]]
-        l = mapping[rtgt[b]]
-        if j >= 0 and l >= 0:
-            g = grel[j, l, rlab[b]]
-            c = rcnt[b]
-            total += g if g < c else c
-    return total
 
 
 def _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel):
@@ -79,9 +39,8 @@ def _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel):
     return np.where(ok, np.minimum(g, rcnt), 0)
 
 
-def _scores(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
-    """Vectorized ``score_mapping``: the score of one mapping, or of each row
-    of a 2-D array of mappings."""
+def score_mapping(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
+    """The score of one mapping, or of each row of a 2-D array of mappings."""
     ok = mapping >= 0
     node = unary[np.arange(unary.shape[0]), np.where(ok, mapping, 0)]
     overlap = _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel)
@@ -102,7 +61,7 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
     n1, n2 = unary.shape
     if n1 == 0 or n2 == 0:
         return 0
-    cur = int(_scores(mapping, unary, rsrc, rtgt, rlab, rcnt, grel))
+    cur = int(score_mapping(mapping, unary, rsrc, rtgt, rlab, rcnt, grel))
 
     # Column n2 of the gain tables stands for "unmapped".  A self-loop bucket
     # depends on one variable only, so it scores like a unary term.
@@ -170,32 +129,12 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
         cur += best_gain
 
 
-def _best_mapping_impl(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
+def best_mapping(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
     """Score every candidate mapping row; return (best_row, best_score).
     Ties keep the first row scanned."""
-    best_row = 0
-    best = -1
-    for r in range(mappings.shape[0]):
-        s = score_mapping(mappings[r], unary, rsrc, rtgt, rlab, rcnt, grel)
-        if s > best:
-            best = s
-            best_row = r
-    return best_row, best
-
-
-def _best_mapping_vec(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
-    """Vectorized fallback for the exhaustive matcher."""
     scores = np.concatenate([
-        _scores(mappings[r:r + _ROWS_PER_CHUNK], unary, rsrc, rtgt, rlab, rcnt, grel)
+        score_mapping(mappings[r:r + _ROWS_PER_CHUNK], unary, rsrc, rtgt, rlab, rcnt, grel)
         for r in range(0, mappings.shape[0], _ROWS_PER_CHUNK)
     ])
     r = int(np.argmax(scores))
     return r, int(scores[r])
-
-
-if BACKEND == "numba":
-    score_mapping = _njit(cache=True)(_score_mapping_impl)
-    best_mapping = _njit(cache=True)(_best_mapping_impl)
-else:
-    score_mapping = _score_mapping_impl
-    best_mapping = _best_mapping_vec

@@ -96,12 +96,20 @@ def _cmd_parse(args) -> int:
 
 def _cmd_serialize(args) -> int:
     graphs = []
-    for line in _read_lines(args.infile):
+    for lineno, line in enumerate(_read_lines(args.infile), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        g = parse_penman(obj["penman"])
-        g.metadata.update(obj.get("metadata") or {})
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict) or not isinstance(obj.get("penman"), str):
+                raise AmrkitError('expected a JSON object with a string "penman" field')
+            meta = obj.get("metadata") or {}
+            if not isinstance(meta, dict):
+                raise AmrkitError('"metadata" is not a JSON object')
+            g = parse_penman(obj["penman"])
+        except (ValueError, AmrkitError) as exc:
+            raise AmrkitError(f"{args.infile}:{lineno}: {exc}") from exc
+        g.metadata.update(meta)
         graphs.append(g)
     _write_text(args.out, graphs_to_text(graphs))
     return 0

@@ -280,14 +280,9 @@ def train(
                 x = tuple(
                     apply_noise(noise, " ".join(rec.x_star), translator=translator).split()
                 )
-            if objective in ("mle", "seq_kd"):
+            if objective != "token_kd":
                 model.observe(x, rec.y)
-            elif objective == "token_kd":
-                for t in range(len(rec.y)):
-                    dist = teacher.next_dist(rec.y[:t], rec.x_star)
-                    model.add_dist_counts(rec.y[:t], x, dist)
-            else:  # tok_plus_seq
-                model.observe(x, rec.y)
+            if needs_teacher:
                 for t in range(len(rec.y)):
                     dist = teacher.next_dist(rec.y[:t], rec.x_star)
                     model.add_dist_counts(rec.y[:t], x, dist)

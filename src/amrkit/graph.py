@@ -143,34 +143,16 @@ class AmrGraph:
 # Tokenization
 
 _META_FIELD_RE = re.compile(r"::(\S+)")
+_PENMAN_TOKEN_RE = re.compile(r'[()/]|"(?:[^"\\]|\\.)*"|[^\s()/"]+|"', re.S)
 
 
 def _tokenize_penman(text: str) -> list[str]:
     """Split a PENMAN body into tokens: parens, slashes, quoted strings
-    (kept whole, backslash escapes honored), and bare atoms."""
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()/":
-            tokens.append(c)
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise MalformedPenman("unterminated string literal")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in '()/"':
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    (kept whole, backslash escapes honored), and bare atoms.  A quote that
+    no closing quote matches comes back alone and is rejected."""
+    tokens = _PENMAN_TOKEN_RE.findall(text)
+    if '"' in tokens:
+        raise MalformedPenman("unterminated string literal")
     return tokens
 
 

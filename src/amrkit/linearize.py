@@ -233,26 +233,10 @@ def to_line(tokens: list[str]) -> str:
     return " ".join(tokens)
 
 
+_LINE_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|[^\s"]+', re.S)
+
+
 def from_line(line: str) -> list[str]:
     """Whitespace tokenizer, except that a double-quoted span (with backslash
     escapes) is one token; an unterminated quote runs to end of line."""
-    tokens: list[str] = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c.isspace():
-            i += 1
-        elif c == '"':
-            j = i + 1
-            while j < n and line[j] != '"':
-                j += 2 if line[j] == "\\" else 1
-            j = min(j, n - 1)
-            tokens.append(line[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not line[j].isspace() and line[j] != '"':
-                j += 1
-            tokens.append(line[i:j])
-            i = j
-    return tokens
+    return _LINE_TOKEN_RE.findall(line)

@@ -402,7 +402,27 @@ def record_to_json(rec: CorpusRecord) -> dict:
     }
 
 
+_RECORD_FIELDS = {
+    "id": str, "lang": str, "split": str, "src": str, "tgt": (str, type(None)),
+    "provenance": str, "quality": (int, float, type(None)), "meta": (dict, type(None)),
+}
+
+
 def record_from_json(obj: dict) -> CorpusRecord:
+    """Inverse of ``record_to_json``.  Raises ValueError on anything but an
+    object with ``id``, ``lang`` and ``src`` and fields of the JSON types
+    that ``record_to_json`` writes."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in ("id", "lang", "src"):
+        if key not in obj:
+            raise ValueError(f"record has no {key!r} field")
+    for key, types in _RECORD_FIELDS.items():
+        if key in obj and not isinstance(obj[key], types):
+            raise ValueError(f"record field {key!r} has type {type(obj[key]).__name__}")
+    meta = obj.get("meta") or {}
+    if not isinstance(meta.get("src_en", ""), (str, type(None))):
+        raise ValueError("record field 'meta.src_en' is not a string")
     tgt = obj.get("tgt")
     return CorpusRecord(
         id=obj["id"],
@@ -412,7 +432,7 @@ def record_from_json(obj: dict) -> CorpusRecord:
         tgt=tuple(from_line(tgt)) if tgt is not None else None,
         provenance=obj.get("provenance", "gold"),
         quality=obj.get("quality"),
-        meta=obj.get("meta") or {},
+        meta=meta,
     )
 
 
@@ -425,8 +445,11 @@ def write_corpus_jsonl(path: str, records: Iterable[CorpusRecord]) -> None:
 def read_corpus_jsonl(path: str) -> list[CorpusRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(record_from_json(json.loads(line)))
+                try:
+                    records.append(record_from_json(json.loads(line)))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records

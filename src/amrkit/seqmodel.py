@@ -27,6 +27,9 @@ EOS = "</s>"
 
 _FORMAT = "amrkit-toy-model"
 _FORMAT_VERSION = 1
+# Bound on a loaded count or alpha: a table row of any realistic vocabulary
+# over such numbers sums to a finite float, so next_dist never divides by inf.
+_MAX_COUNT = 1e300
 
 
 def stable_hash(text: str) -> int:
@@ -160,22 +163,40 @@ class ToyCondModel(SeqModel):
 
     @classmethod
     def load(cls, path: str) -> "ToyCondModel":
+        """Read a model written by ``save``.  Raises ValueError naming the
+        file on anything else, before a malformed table can reach decoding."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != _FORMAT:
-            raise ValueError(f"{path}: not a {_FORMAT} file")
-        if payload.get("version") != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {payload.get('version')}")
-        model = cls(
-            payload["vocab"],
-            order=payload["order"],
-            alpha=payload["alpha"],
-            buckets=payload["buckets"],
-        )
-        for entry in payload["counts"]:
-            model.counts[(entry["bucket"], tuple(entry["context"]))] = np.asarray(
-                entry["counts"], dtype=float
-            )
+
+        def need(ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(f"{path}: {what}")
+
+        need(isinstance(payload, dict) and payload.get("format") == _FORMAT,
+             f"not a {_FORMAT} file")
+        need(payload.get("version") == _FORMAT_VERSION,
+             f"unsupported format version {payload.get('version')}")
+        vocab, counts = payload.get("vocab"), payload.get("counts")
+        need(isinstance(vocab, list) and all(isinstance(t, str) for t in vocab),
+             '"vocab" is not a list of strings')
+        need(all(type(payload.get(key)) is int for key in ("order", "buckets")),
+             '"order" and "buckets" must be integers')
+        alpha = payload.get("alpha")
+        need(isinstance(alpha, (int, float)) and 0 <= alpha < _MAX_COUNT,
+             f'"alpha" is not a number in [0, {_MAX_COUNT:g})')
+        need(isinstance(counts, list), '"counts" is not a list')
+        try:
+            model = cls(vocab, payload["order"], alpha, payload["buckets"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        try:
+            keys = [(entry["bucket"], tuple(entry["context"])) for entry in counts]
+            table = np.array([entry["counts"] for entry in counts], dtype=float)
+            model.counts.update(zip(keys, table.reshape(len(keys), len(vocab))))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: malformed counts table ({exc!r})") from exc
+        need(not table.size or 0 <= table.min() <= table.max() < _MAX_COUNT,
+             f"counts are not numbers in [0, {_MAX_COUNT:g})")
         return model
 
 

@@ -9,8 +9,9 @@ are compared with surrounding quotes stripped; concepts compare exactly.
 
 ``smatch_hill_climb`` is the restartable local search used in practice;
 ``smatch_exact`` enumerates every injective mapping and is the testing
-oracle (the two share one scoring kernel, so the climber can never exceed
-the oracle).
+oracle.  Both score with the NumPy kernels of ``_match``, which count the
+exact multiset overlap of triples, so the climber can never exceed the
+oracle.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from itertools import product
 
 import numpy as np
 
-from amrkit import _match
 from amrkit.graph import AmrGraph, Edge, Node
 from amrkit.seqmodel import BOS, EOS, SeqModel, ToyCondModel
 
@@ -123,16 +122,33 @@ def deterministic_model(vocab: tuple[str, ...], tokens: list[str]) -> ScriptedMo
     return ScriptedModel(vocab, dists)
 
 
+def reference_score(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
+    """Loop form of ``_match.score_mapping`` for one mapping: the unary terms
+    of the mapped pred variables plus, per pred relation bucket whose ends
+    are both mapped, the smaller of its count and the gold count."""
+    total = 0
+    for i in range(mapping.shape[0]):
+        j = mapping[i]
+        if j >= 0:
+            total += unary[i, j]
+    for b in range(rsrc.shape[0]):
+        j = mapping[rsrc[b]]
+        l = mapping[rtgt[b]]
+        if j >= 0 and l >= 0:
+            total += min(grel[j, l, rlab[b]], rcnt[b])
+    return total
+
+
 def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
     """Brute-force form of ``_match.hill_climb``: every candidate move is
-    rescored from scratch with ``_match.score_mapping``.  Remaps (by i, then
+    rescored from scratch with ``reference_score``.  Remaps (by i, then
     j) are scanned before swaps (by i, then k > i) and only a strictly better
     move replaces the best so far.  Mutates ``mapping``; returns its score."""
     args = (unary, rsrc, rtgt, rlab, rcnt, grel)
     n1, n2 = unary.shape
     used = np.zeros(n2, bool)
     used[mapping[mapping >= 0]] = True
-    cur = _match.score_mapping(mapping, *args)
+    cur = reference_score(mapping, *args)
     while True:
         best_gain, best_i, best_j, best_k = 0, -1, -1, -1
         for i in range(n1):
@@ -141,7 +157,7 @@ def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
                 if used[j] or j == old:
                     continue
                 mapping[i] = j
-                gain = _match.score_mapping(mapping, *args) - cur
+                gain = reference_score(mapping, *args) - cur
                 mapping[i] = old
                 if gain > best_gain:
                     best_gain, best_i, best_j, best_k = gain, i, j, -1
@@ -150,7 +166,7 @@ def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
                 if mapping[i] == mapping[k]:
                     continue
                 mapping[[i, k]] = mapping[[k, i]]
-                gain = _match.score_mapping(mapping, *args) - cur
+                gain = reference_score(mapping, *args) - cur
                 mapping[[i, k]] = mapping[[k, i]]
                 if gain > best_gain:
                     best_gain, best_i, best_j, best_k = gain, i, -1, k

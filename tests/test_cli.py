@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from amrkit.cli import run
 from amrkit.graph import read_amr_file, write_amr_file
@@ -67,6 +70,29 @@ class TestExitCodes:
         deep.write_text("[" * 100_000 + "\n")
         assert run(["stats", "--in", str(deep), "--format", "table"]) == 2
         assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, content",
+        [
+            (["serialize"], "{}"),
+            (["serialize"], "[1]"),
+            (["serialize"], '{"penman": 5}'),
+            (["stats"], "{}"),
+            (["filter", "--kept", "kept.jsonl"], "{}"),
+            (["stats"], '{"id": "a", "lang": "EN", "split": "test", "src": "x", "tgt": 5}'),
+            (["vocab"], "[1]"),
+            (["distill", "--inputs", "in.txt", "--out", "out.jsonl", "--teacher"],
+             '{"format": "amrkit-toy-model", "version": 1}'),
+        ],
+    )
+    def test_malformed_json_input_is_exit_two(self, tmp_path, monkeypatch, capsys, argv, content):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.txt").write_text("a b\n")
+        (tmp_path / "bad.json").write_text(content + "\n")
+        flag = [] if argv[-1] == "--teacher" else ["--in"]
+        assert run(argv + flag + ["bad.json"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("amrkit: error: bad.json")
 
     def test_deeply_nested_penman_parses(self, tmp_path):
         depth = 1200
@@ -278,3 +304,146 @@ class TestPipelineCommands:
         assert run(["stats", "--in", str(kept), "--format", "json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["DE"]["train"] == 6
+
+
+# ---------------------------------------------------------------------------
+# Exit-code fuzz: random argv over random and near-valid input files
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_RECORD = {
+    "id": "r1", "lang": "DE", "split": "train", "src": "the~de boy~de",
+    "tgt": "( <V0> want-01 :ARG0 ( <V1> boy ) )", "provenance": "silver-mt",
+    "quality": None, "meta": {"src_en": "the boy"},
+}
+_GRAPH_LINE = {"metadata": {"id": "g1"}, "penman": WANT_BOY.strip()}
+_MODEL = {
+    "format": "amrkit-toy-model", "version": 1,
+    "vocab": [BOS, EOS, "(", ")", "<V0>", "boy"], "order": 2, "alpha": 0.1, "buckets": 4,
+    "counts": [{"bucket": 1, "context": [0], "counts": [0.0, 1.0, 3.0, 1.0, 2.0, 2.0]}],
+}
+_PENMAN = (WANT_BOY, '# ::id a\n(c / city :name (n / name :op1 "New York") :mod c)\n', "(b / boy)\n")
+_LINES = ("( <V0> want-01 :ARG0 ( <V1> boy ) )", '( <V0> city :op1 "a b" :mod <V0> )', "the boy")
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _near_json(draw, valid):
+    """``valid``, or a copy with one nested field deleted or set to any JSON
+    value, as one line of JSON text."""
+    obj = copy.deepcopy(valid)
+    path = draw(st.sampled_from([()] + list(_paths(valid))[1:]))
+    if draw(st.booleans()):
+        if not path:
+            obj = draw(_JSON)
+        else:
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(_JSON)
+    return json.dumps(obj)
+
+
+@st.composite
+def _mangled(draw, texts):
+    """One of ``texts`` with a few characters inserted, deleted or cut off."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from('()/": \\\n<>Vab')) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+_CONTENT = {
+    "penman": _mangled(_PENMAN),
+    "lines": _mangled(_LINES).map(lambda t: t + "\n"),
+    "jsonl": st.lists(_near_json(_RECORD), max_size=3).map("\n".join),
+    "graphs": st.lists(_near_json(_GRAPH_LINE), max_size=3).map("\n".join),
+    "model": _near_json(_MODEL),
+}
+
+
+@st.composite
+def _invocations(draw, tmp_path):
+    """A subcommand with random flags, writing each input file it names with
+    content of its own kind, of another kind, or random bytes."""
+    def infile(kind):
+        path = tmp_path / f"in{draw(st.integers(0, 9))}"
+        other = st.sampled_from(sorted(_CONTENT)).flatmap(lambda k: _CONTENT[k])
+        data = draw(st.one_of(_CONTENT[kind], _CONTENT[kind], other).map(str.encode)
+                    | st.binary(max_size=40))
+        path.write_bytes(data)
+        return str(path)
+
+    def maybe(flag, values):
+        return [flag, str(draw(values))] if draw(st.booleans()) else []
+
+    out = st.sampled_from(["out.txt", "out2.txt", "."]).map(lambda name: str(tmp_path / name))
+    seed = st.integers(-2, 2**33)
+    small = st.integers(1, 4)
+    fmt = st.sampled_from(["json", "table", "xml"])
+    noise = st.sampled_from(["none", "mt", "delete:30", "delete:x", "delete:150", "bogus"])
+    lang = st.sampled_from(["DE", "ZH", "XX"])
+    command = draw(st.sampled_from([
+        "parse", "serialize", "linearize", "delinearize", "repair", "smatch",
+        "distill", "noise", "filter", "vocab", "stats", "report",
+    ]))
+    kind = {"parse": "penman", "linearize": "penman", "serialize": "graphs",
+            "delinearize": "lines", "repair": "lines", "noise": "lines"}.get(command, "jsonl")
+    argv = [command]
+    if command in ("parse", "serialize", "linearize", "delinearize", "repair", "noise",
+                   "vocab", "stats", "filter"):
+        argv += ["--in", infile(kind)]
+    if command in ("parse", "serialize", "linearize", "delinearize", "repair", "vocab", "noise"):
+        argv += maybe("--out", out)
+    if command == "repair":
+        argv += maybe("--report", out)
+    elif command == "smatch":
+        argv += ["--pred", infile("penman"), "--gold", infile("penman")]
+        argv += maybe("--restarts", small) + maybe("--seed", seed) + maybe("--jobs", small)
+        argv += maybe("--per-record", out) + maybe("--format", fmt)
+    elif command == "distill":
+        argv += ["--teacher", infile("model"), "--inputs", infile("lines"), "--out", draw(out)]
+        argv += maybe("--noise", noise) + maybe("--lang", lang) + maybe("--seed", seed)
+        argv += maybe("--beam", st.integers(0, 8)) + maybe("--max-len", st.integers(0, 8))
+        argv += maybe("--jobs", small)
+    elif command == "noise":
+        argv += maybe("--kind", noise) + maybe("--lang", lang) + maybe("--seed", seed)
+    elif command == "filter":
+        argv += ["--kept", draw(out)] + maybe("--dropped", out)
+        argv += maybe("--threshold", st.floats() | st.just("x"))
+    elif command == "vocab":
+        argv += maybe("--min-count", st.integers(-1, 3))
+    elif command == "stats":
+        argv += maybe("--format", fmt)
+    elif command == "report":
+        scores = st.lists(st.floats(0, 100) | st.just("x"), min_size=4, max_size=6)
+        argv += ["--scores", ",".join(map(str, draw(scores)))] + maybe("--format", fmt)
+    if draw(st.integers(0, 9)) == 9:  # a usage error: a dropped argument or an unknown flag
+        argv = draw(st.sampled_from([argv[:-1], argv + ["--bogus"]]))
+    return argv
+
+
+class TestExitCodeFuzz:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_exit_code_is_0_1_or_2(self, tmp_path, monkeypatch, data):
+        monkeypatch.delenv("AMRKIT_ADAPTER_CMD", raising=False)
+        argv = data.draw(_invocations(tmp_path))
+        assert run(argv) in (0, 1, 2)

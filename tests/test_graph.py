@@ -8,6 +8,7 @@ from amrkit.graph import (
     Edge,
     MalformedPenman,
     Node,
+    _tokenize_penman,
     graphs_to_text,
     parse_penman,
     read_amr_text,
@@ -66,11 +67,21 @@ class TestParse:
             '(w / "quoted-concept")',
             "(w / a :ARG0 (b / boy) extra",
             '(w / a :wiki "unterminated)',
+            '(w / a :wiki "x\\"',  # escaped quote, then end of input
+            '(w / a :wiki "x\\',  # backslash as the last character of an open quote
         ],
     )
     def test_rejects_what_serializer_cannot_emit(self, text):
         with pytest.raises(MalformedPenman):
             parse_penman(text)
+
+    def test_tokenizer_edge_cases(self):
+        assert _tokenize_penman('ab"cd"') == ["ab", '"cd"']
+        assert _tokenize_penman('"a\\"b" c') == ['"a\\"b"', "c"]
+        assert _tokenize_penman("(w\u3000/\x1cboy\x85)") == ["(", "w", "/", "boy", ")"]
+        for text in ('a "x', 'a "x\\"', 'a "x\\'):
+            with pytest.raises(MalformedPenman, match="unterminated string literal"):
+                _tokenize_penman(text)
 
     def test_reentrancy_single_node_many_edges(self):
         g = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")

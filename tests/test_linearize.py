@@ -156,3 +156,10 @@ class TestLineFormat:
 
     def test_unterminated_quote_runs_to_end(self):
         assert from_line('x "unterminated rest') == ["x", '"unterminated rest']
+        assert from_line('x "ab\\') == ["x", '"ab\\']  # trailing backslash inside the quote
+
+    def test_quote_after_atom_starts_a_token(self):
+        assert from_line('ab"cd"') == ["ab", '"cd"']
+
+    def test_non_ascii_whitespace_separates(self):
+        assert from_line("a\u3000b\x1cc\x85d") == ["a", "b", "c", "d"]
