@@ -23,6 +23,7 @@ from .graph import (
     parse_penman,
     read_amr_file,
     serialize_penman,
+    split_lines,
 )
 from .linearize import delinearize, from_line, linearize, to_line
 from .pipeline import (
@@ -67,7 +68,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    return [ln for ln in _read_text(path).splitlines()]
+    return split_lines(_read_text(path))
 
 
 def _parse_noise(spec: str, seed: int, lang: str | None) -> NoiseSpec:

@@ -60,27 +60,31 @@ def beam_search(
         raise ValueError("max_len must be >= 1")
     eos = model.index(EOS)
 
-    # entries: (log_prob, token-id tuple); ids of retired entries end in EOS
+    # entries: (log_prob, token-id tuple); ids of retired entries end in EOS.
+    # Live entries all have the same length and are kept in ids order, so the
+    # row-major order of the live × vocabulary candidates is their ids order
+    # and a stable sort on -log_prob ranks them by (-log_prob, ids).
     live: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
     retired: list[tuple[float, tuple[int, ...]]] = []
     while live and len(retired) < beam_size:
-        cands: list[tuple[float, tuple[int, ...], bool]] = []
-        for lp, ids in live:
-            prefix = [model.vocab[i] for i in ids]
-            dist = model.next_dist(prefix, src)
-            for idx in np.flatnonzero(dist > 0):
-                idx = int(idx)
-                nlp = lp + math.log(dist[idx])
-                if idx == eos:
-                    cands.append((nlp, ids + (idx,), True))
-                elif len(ids) + 1 == max_len:
-                    cands.append((nlp, ids + (idx, eos), True))
-                else:
-                    cands.append((nlp, ids + (idx,), False))
-        cands.sort(key=lambda c: (-c[0], c[1]))
-        keep = cands[: beam_size - len(retired)]
-        live = [(lp, ids) for lp, ids, done in keep if not done]
-        retired.extend((lp, ids) for lp, ids, done in keep if done)
+        dists = model.next_dist_batch([[model.vocab[i] for i in ids] for _, ids in live], src)
+        rows, toks = np.nonzero(dists > 0)
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        logs = np.fromiter(map(math.log, dists[rows, toks].tolist()), float, len(rows))
+        scores = np.array([lp for lp, _ in live])[rows] + logs
+        keep = np.argsort(-scores, kind="stable")[: beam_size - len(retired)]
+        children = []
+        for c, nlp in zip(keep.tolist(), scores[keep].tolist()):
+            idx = int(toks[c])
+            ids = live[rows[c]][1] + (idx,)
+            if idx == eos:
+                retired.append((nlp, ids))
+            elif len(ids) == max_len:
+                retired.append((nlp, ids + (eos,)))
+            else:
+                children.append((c, nlp, ids))
+        children.sort()  # candidate order is ids order
+        live = [(nlp, ids) for _, nlp, ids in children]
 
     retired.sort(key=lambda c: (-c[0], c[1]))
     return [

@@ -156,10 +156,20 @@ def _tokenize_penman(text: str) -> list[str]:
     return tokens
 
 
+def split_lines(text: str) -> list[str]:
+    r"""The lines of ``text``, split at ``\n`` (and ``\r\n``) only.
+    ``str.splitlines`` also splits at U+0085, U+2028 and other separators,
+    which a quoted constant or a metadata value may hold."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _split_metadata(text: str) -> tuple[dict[str, str], str]:
     meta: dict[str, str] = {}
     body_lines: list[str] = []
-    for line in text.splitlines():
+    for line in split_lines(text):
         stripped = line.strip()
         if stripped.startswith("#"):
             rest = stripped.lstrip("#").strip()
@@ -341,7 +351,7 @@ def to_triples(g: AmrGraph) -> list[Triple]:
 
 def iter_amr_blocks(text: str) -> Iterator[str]:
     block: list[str] = []
-    for line in text.splitlines():
+    for line in split_lines(text):
         if line.strip():
             block.append(line)
         elif block:

@@ -15,6 +15,7 @@ import os
 import random
 import shlex
 import subprocess
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -23,6 +24,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .errors import AmrkitError
+from .graph import split_lines
 from .linearize import from_line, to_line
 from .seqmodel import stable_hash
 
@@ -210,7 +212,7 @@ class CommandTranslator:
             raise AdapterError(
                 f"adapter {self.cmd!r} exited {proc.returncode}: {proc.stderr.strip()}"
             )
-        out = proc.stdout.splitlines()
+        out = split_lines(proc.stdout)
         if not out:
             raise AdapterError(f"adapter {self.cmd!r} produced no output")
         return out[0].strip()
@@ -242,12 +244,18 @@ class HashEmbedding:
     def __init__(self, dim: int = 64):
         self.dim = dim
         self._cache: dict[str, np.ndarray] = {}
+        # One generator reseeded per new word: building a RandomState costs
+        # far more than seeding one.  The lock keeps a seed and its draw
+        # together when bt_filter embeds from several threads.
+        self._rng = np.random.RandomState(0)
+        self._rng_lock = threading.Lock()
 
     def _word_vec(self, word: str) -> np.ndarray:
         vec = self._cache.get(word)
         if vec is None:
-            rng = np.random.RandomState(stable_hash(word) & 0x7FFFFFFF)
-            vec = rng.standard_normal(self.dim)
+            with self._rng_lock:
+                self._rng.seed(stable_hash(word) & 0x7FFFFFFF)
+                vec = self._rng.standard_normal(self.dim)
             vec /= np.linalg.norm(vec)
             self._cache[word] = vec
         return vec

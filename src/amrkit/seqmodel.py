@@ -6,8 +6,10 @@ tuple containing the sentinels ``<s>`` (BOS) and ``</s>`` (EOS); prefixes
 passed to ``next_dist`` never include BOS (models pad internally); returned
 vectors are nonnegative, sum to one within 1e-9, and depend only on
 (prefix, source).  Shipped models assign probability exactly zero to BOS so
-decoders never have to special-case it.  Models are safe for concurrent
-read-only queries; training mutates under a single-writer contract.
+decoders never have to special-case it.  ``next_dist_batch`` answers several
+prefixes of one source at once, row for row equal to ``next_dist``.  Models
+are safe for concurrent read-only queries; training mutates under a
+single-writer contract.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["BOS", "EOS", "SeqModel", "ToyCondModel", "stable_hash"]
+__all__ = ["BOS", "EOS", "MAX_ORDER", "SeqModel", "ToyCondModel", "stable_hash"]
 
 BOS = "<s>"
 EOS = "</s>"
@@ -30,6 +32,9 @@ _FORMAT_VERSION = 1
 # Bound on a loaded count or alpha: a table row of any realistic vocabulary
 # over such numbers sums to a finite float, so next_dist never divides by inf.
 _MAX_COUNT = 1e300
+# Bound on ToyCondModel.order: the context key holds order - 1 token ids, so
+# a model file's order alone would otherwise set the cost of every query.
+MAX_ORDER = 1024
 
 
 def stable_hash(text: str) -> int:
@@ -62,13 +67,22 @@ class SeqModel(ABC):
     def next_dist(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
         """Distribution over the full vocabulary for the next position."""
 
+    def next_dist_batch(self, prefixes: Sequence[Sequence[str]], src: Sequence[str]) -> np.ndarray:
+        """``next_dist`` for each prefix under one source, as the rows of a
+        ``len(prefixes) × |vocab|`` array.  Row i equals
+        ``next_dist(prefixes[i], src)`` bit for bit; subclasses override this
+        only to share work between the rows."""
+        return np.array([self.next_dist(p, src) for p in prefixes])
+
 
 class ToyCondModel(SeqModel):
     """Additively smoothed conditional count table.
 
     The conditioning key is (hashed bag of source tokens, last ``order - 1``
-    prefix tokens, BOS-padded).  ``alpha`` smoothing mass is spread over
-    every vocabulary entry except BOS.  Training only ever adds to counts,
+    prefix tokens, BOS-padded); ``order`` is at most ``MAX_ORDER``.  Only
+    those last tokens are looked up, so a token outside the vocabulary
+    earlier in the prefix is never seen.  ``alpha`` smoothing mass is spread
+    over every vocabulary entry except BOS.  Training only ever adds to counts,
     so repeated observation of one pair converges to that pair's empirical
     distribution with an alpha-dependent floor.
     """
@@ -81,8 +95,8 @@ class ToyCondModel(SeqModel):
         buckets: int = 64,
     ):
         super().__init__(vocab)
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"order must be in [1, {MAX_ORDER}]")
         if alpha <= 0:
             raise ValueError("alpha must be > 0")
         if buckets < 1:
@@ -101,11 +115,11 @@ class ToyCondModel(SeqModel):
         return stable_hash(" ".join(sorted(src))) % self.buckets
 
     def context(self, prefix: Sequence[str]) -> tuple[int, ...]:
-        if self.order == 1:
+        n = self.order - 1
+        if n == 0:
             return ()
-        ids = [self.index(t) for t in prefix][-(self.order - 1) :]
-        pad = [self.index(BOS)] * (self.order - 1 - len(ids))
-        return tuple(pad + ids)
+        ids = tuple(self.index(t) for t in prefix[-n:])
+        return (self.index(BOS),) * (n - len(ids)) + ids
 
     def key(self, prefix: Sequence[str], src: Sequence[str]):
         return (self.bucket(src), self.context(prefix))
@@ -113,7 +127,14 @@ class ToyCondModel(SeqModel):
     # -- queries and updates ------------------------------------------------
 
     def next_dist(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
-        c = self.counts.get(self.key(prefix, src))
+        return self._dist(self.key(prefix, src))
+
+    def next_dist_batch(self, prefixes: Sequence[Sequence[str]], src: Sequence[str]) -> np.ndarray:
+        bucket = self.bucket(src)
+        return np.array([self._dist((bucket, self.context(p))) for p in prefixes])
+
+    def _dist(self, key) -> np.ndarray:
+        c = self.counts.get(key)
         num = self._smooth if c is None else c + self._smooth
         return num / num.sum()
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
+
+from amrkit.decode import BeamHypothesis
 
 from amrkit.graph import AmrGraph, Edge, Node
 from amrkit.seqmodel import BOS, EOS, SeqModel, ToyCondModel
@@ -180,3 +183,38 @@ def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
         else:
             mapping[[best_i, best_k]] = mapping[[best_k, best_i]]
         cur += best_gain
+
+
+def reference_beam_search(model, src, beam_size, max_len):
+    """Loop form of ``decode.beam_search``: one candidate tuple per live
+    hypothesis and token with nonzero probability, ranked together by
+    (-log_prob, token ids)."""
+    eos = model.index(EOS)
+
+    # entries: (log_prob, token-id tuple); ids of retired entries end in EOS
+    live: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    retired: list[tuple[float, tuple[int, ...]]] = []
+    while live and len(retired) < beam_size:
+        cands: list[tuple[float, tuple[int, ...], bool]] = []
+        for lp, ids in live:
+            prefix = [model.vocab[i] for i in ids]
+            dist = model.next_dist(prefix, src)
+            for idx in np.flatnonzero(dist > 0):
+                idx = int(idx)
+                nlp = lp + math.log(dist[idx])
+                if idx == eos:
+                    cands.append((nlp, ids + (idx,), True))
+                elif len(ids) + 1 == max_len:
+                    cands.append((nlp, ids + (idx, eos), True))
+                else:
+                    cands.append((nlp, ids + (idx,), False))
+        cands.sort(key=lambda c: (-c[0], c[1]))
+        keep = cands[: beam_size - len(retired)]
+        live = [(lp, ids) for lp, ids, done in keep if not done]
+        retired.extend((lp, ids) for lp, ids, done in keep if done)
+
+    retired.sort(key=lambda c: (-c[0], c[1]))
+    return [
+        BeamHypothesis(tuple(model.vocab[i] for i in ids), lp)
+        for lp, ids in retired[:beam_size]
+    ]

@@ -83,6 +83,9 @@ class TestExitCodes:
             (["vocab"], "[1]"),
             (["distill", "--inputs", "in.txt", "--out", "out.jsonl", "--teacher"],
              '{"format": "amrkit-toy-model", "version": 1}'),
+            (["distill", "--inputs", "in.txt", "--out", "out.jsonl", "--teacher"],
+             '{"format": "amrkit-toy-model", "version": 1, "vocab": ["<s>", "</s>"], '
+             '"order": 1000000, "alpha": 0.1, "buckets": 1, "counts": []}'),
         ],
     )
     def test_malformed_json_input_is_exit_two(self, tmp_path, monkeypatch, capsys, argv, content):
@@ -172,6 +175,24 @@ class TestRoundTripCommands:
         run(["linearize", "--in", str(amr_file), "--out", str(lin)])
         expected = [to_line(linearize(g)) for g in read_amr_file(str(amr_file))]
         assert lin.read_text().splitlines() == expected
+
+    def test_line_separator_inside_constant_round_trips(self, tmp_path):
+        amr = tmp_path / "g.amr"
+        amr.write_text('(b / boy :name "x\u2028y")\n', encoding="utf-8")
+        lin = tmp_path / "lin.txt"
+        back = tmp_path / "back.amr"
+        assert run(["linearize", "--in", str(amr), "--out", str(lin)]) == 0
+        assert run(["delinearize", "--in", str(lin), "--out", str(back)]) == 0
+        (g,) = read_amr_file(str(back))
+        assert [n.concept for n in g.nodes if n.constant] == ['"x\u2028y"']
+
+    def test_next_line_inside_metadata_parses(self, tmp_path):
+        amr = tmp_path / "g.amr"
+        amr.write_text("# ::id a\x85b\n(b / boy)\n", encoding="utf-8")
+        out = tmp_path / "parsed.jsonl"
+        assert run(["parse", "--in", str(amr), "--out", str(out)]) == 0
+        (line,) = out.read_text(encoding="utf-8").split("\n")[:-1]
+        assert json.loads(line)["metadata"] == {"id": "a\x85b"}
 
     def test_parse_serialize(self, amr_file, tmp_path):
         parsed = tmp_path / "parsed.jsonl"
@@ -310,7 +331,7 @@ class TestPipelineCommands:
 # Exit-code fuzz: random argv over random and near-valid input files
 
 _JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=8,
 )

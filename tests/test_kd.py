@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amrkit.decode import beam_search, exact_mode
 from amrkit.distill import (
@@ -19,9 +21,15 @@ from amrkit.distill import (
 from amrkit.errors import TooLarge
 from amrkit.linearize import validate_linear
 from amrkit.pipeline import MASK, NoiseSpec
-from amrkit.seqmodel import BOS, EOS, ToyCondModel
+from amrkit.seqmodel import BOS, EOS, MAX_ORDER, SeqModel, ToyCondModel
 
-from .helpers import TOY_VOCAB, ScriptedModel, deterministic_model, random_toy_model
+from .helpers import (
+    TOY_VOCAB,
+    ScriptedModel,
+    deterministic_model,
+    random_toy_model,
+    reference_beam_search,
+)
 
 V4 = (BOS, EOS, "a", "b")
 LINEAR_VOCAB = (BOS, EOS, "(", ")", "<V0>", "<V1>", ":ARG0", "want-01", "boy")
@@ -87,7 +95,20 @@ class TestToyCondModel:
         m.observe(["s"], ["a", EOS])
         assert np.array_equal(m.next_dist([], ["s"]), m.next_dist(["b", "a"], ["s"]))
 
+    def test_context_reads_only_the_window(self):
+        m = ToyCondModel(V4, order=3)
+        m.observe(["s"], ["a", "b", EOS])
+        # a token outside the vocabulary before the window is never looked up
+        assert m.context(["zzz", "a", "b"]) == (m.index("a"), m.index("b"))
+        assert np.array_equal(m.next_dist(["zzz", "a", "b"], ["s"]), m.next_dist(["a", "b"], ["s"]))
+        assert m.context(["a"]) == (m.index(BOS), m.index("a"))
+        with pytest.raises(ValueError):
+            m.context(["a", "zzz"])
+
     def test_parameter_validation(self):
+        ToyCondModel(V4, order=MAX_ORDER)
+        with pytest.raises(ValueError):
+            ToyCondModel(V4, order=MAX_ORDER + 1)
         with pytest.raises(ValueError):
             ToyCondModel(V4, order=0)
         with pytest.raises(ValueError):
@@ -223,6 +244,70 @@ class TestBeamSearch:
             beam_search(m, ["s"], 0, 4)
         with pytest.raises(ValueError):
             beam_search(m, ["s"], 1, 0)
+
+
+def _dist_rows(vocab, draw_weights):
+    """A distribution over ``vocab`` with BOS at zero, from the weights."""
+    weights = np.array([0 if t == BOS else w for t, w in zip(vocab, draw_weights)], dtype=float)
+    if not weights.any():
+        weights[vocab.index(EOS)] = 1.0
+    return weights / weights.sum()
+
+
+@st.composite
+def _beam_cases(draw):
+    vocab = tuple(draw(st.permutations((BOS, EOS) + ("a", "b", "c")[: draw(st.integers(1, 3))])))
+    max_len = draw(st.integers(1, 5))
+    # small integers give zero entries and exact ties (uniform rows); floats
+    # give log values where np.log and math.log can differ in the last bit
+    weights = st.lists(st.integers(0, 3) | st.floats(0, 3), min_size=len(vocab), max_size=len(vocab))
+    if draw(st.booleans()):
+        model = ToyCondModel(vocab, order=draw(st.integers(1, 3)),
+                             alpha=draw(st.sampled_from([1e-4, 0.5, 1.0])), buckets=1)
+        content = [t for t in vocab if t not in (BOS, EOS)]
+        for prefix in draw(st.lists(st.lists(st.sampled_from(content), max_size=3), max_size=8)):
+            model.add_dist_counts(prefix, ["s"], np.array(draw(weights), dtype=float))
+    else:
+        model = ScriptedModel(vocab, [_dist_rows(vocab, draw(weights))
+                                      for _ in range(draw(st.integers(1, max_len + 1)))])
+    beam = draw(st.integers(1, len(vocab) ** max_len))
+    return model, beam, max_len
+
+
+def _bits(hyps):
+    return [(h.tokens, h.log_prob.hex(), h.finished) for h in hyps]
+
+
+class TestBeamParity:
+    @given(_beam_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bit_for_bit(self, case):
+        model, beam, max_len = case
+        assert _bits(beam_search(model, ["s"], beam, max_len)) == _bits(
+            reference_beam_search(model, ["s"], beam, max_len)
+        )
+
+    def test_matches_reference_on_random_toy_models(self):
+        # arbitrary float counts over a wider vocabulary: thousands of log
+        # values, so a last-bit difference in any of them is likely to show
+        vocab = (BOS, EOS) + tuple(f"t{i}" for i in range(30))
+        for seed in range(60):
+            m = random_toy_model(seed, ["s"], vocab=vocab, order=1 + seed % 2)
+            for beam, max_len in ((1, 8), (8, 6)):
+                assert _bits(beam_search(m, ["s"], beam, max_len)) == _bits(
+                    reference_beam_search(m, ["s"], beam, max_len)
+                )
+
+    def test_next_dist_batch_equals_stacked_next_dist(self):
+        prefixes = [[], ["a"], ["a", "b"], ["c", "a", "b", "b"], ["a"]]
+        scripted = ScriptedModel(TOY_VOCAB, [np.full(5, 0.25) * (np.arange(5) > 0), [0, 0.5, 0, 0.5, 0]])
+        toy = random_toy_model(3, ["s"], order=3)
+        for model in (scripted, toy):
+            stacked = np.stack([model.next_dist(p, ["s"]) for p in prefixes])
+            for batch in (SeqModel.next_dist_batch(model, prefixes, ["s"]),
+                          model.next_dist_batch(prefixes, ["s"])):
+                assert batch.shape == stacked.shape
+                assert batch.tobytes() == stacked.tobytes()
 
 
 class TestExactMode:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,13 @@ class TestNoiseSpec:
 
 
 class TestCommandTranslator:
+    def test_output_line_keeps_separator_characters(self):
+        from amrkit.pipeline import CommandTranslator
+
+        # \x0c and \x1c end a line for str.splitlines, not for the adapter
+        tr = CommandTranslator("python3 -c \"print(input())\"")
+        assert tr.translate("a\x0cb\x1cc", "EN", "DE") == "a\x0cb\x1cc"
+
     def test_external_command_adapter(self):
         from amrkit.pipeline import CommandTranslator
 
@@ -248,6 +256,21 @@ class TestBtFilter:
         ]
         serial = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=1)
         parallel = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=4)
+        assert serial == parallel
+
+    def test_parallel_filter_shares_one_embedding(self):
+        # every word is new, so the pool threads all draw word vectors from
+        # the one embedding's generator, switching as often as they can
+        tr = StubTranslator(corrupt_pct=30)
+        english = [" ".join(f"w{i}x{k}" for k in range(12)) for i in range(150)]
+        records = [_foreign_record(i, tr.translate(s, "EN", "DE"), s) for i, s in enumerate(english)]
+        serial = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial == parallel
 
 
