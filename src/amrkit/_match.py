@@ -9,24 +9,21 @@ The matching problem is encoded as integer arrays once per graph pair:
   (src, tgt, label) relation patterns with their multiplicities;
 - ``grel[j, l, lab]``: gold multiplicity of relation pattern (j, label, l).
 
-A mapping's score is the exact multiset overlap of the two triple sets, so
-the hill climber can never report more than the exhaustive matcher.  Every
-kernel is vectorized NumPy: ``score_mapping`` scores one mapping or every
-row of an array of mappings, ``hill_climb`` is the local search and
-``best_mapping`` the exhaustive matcher's arg-max.
+A mapping's score is the exact multiset overlap of the two triple sets.
+``score_mapping`` scores one mapping or every row of an array of mappings
+and ``hill_climb`` is the vectorized NumPy local search.  ``exact_mapping``
+finds the optimum of any size as a small integer linear program (scipy's
+``milp``, imported on first use) and rescores its answer with
+``score_mapping``, so the climber can never report more than it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BACKEND", "score_mapping", "hill_climb", "best_mapping"]
+__all__ = ["BACKEND", "score_mapping", "hill_climb", "exact_mapping"]
 
 BACKEND = "numpy"
-
-# Rows of candidate mappings scored at once by the exhaustive matcher; bounds
-# its temporaries to a few MB however many mappings it enumerates.
-_ROWS_PER_CHUNK = 1 << 15
 
 
 def _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel):
@@ -129,12 +126,47 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
         cur += best_gain
 
 
-def best_mapping(mappings, unary, rsrc, rtgt, rlab, rcnt, grel):
-    """Score every candidate mapping row; return (best_row, best_score).
-    Ties keep the first row scanned."""
-    scores = np.concatenate([
-        score_mapping(mappings[r:r + _ROWS_PER_CHUNK], unary, rsrc, rtgt, rlab, rcnt, grel)
-        for r in range(0, mappings.shape[0], _ROWS_PER_CHUNK)
-    ])
-    r = int(np.argmax(scores))
-    return r, int(scores[r])
+def exact_mapping(unary, rsrc, rtgt, rlab, rcnt, grel):
+    """An optimal injective mapping and its score, by integer linear program.
+
+    Binary ``x[i, j]`` maps pred variable i to gold variable j, each row and
+    column summing to at most one.  Each pred bucket b and gold pair (j, l)
+    that can hold it (gold count above zero, a self-loop exactly when b is
+    one) gets a continuous ``y <= x[rsrc[b], j], x[rtgt[b], l]`` weighted by
+    the smaller count; the objective is ``unary . x + w . y``.  The LP
+    relaxation goes first: a rounded mapping that scores its bound is optimal.
+    Needs scipy; raises RuntimeError unless the solver proves optimality.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_matrix
+
+    n1, n2 = unary.shape
+    if n1 == 0 or n2 == 0:
+        return np.full(n1, -1, np.int64), 0
+    b, j, l = np.nonzero(np.moveaxis(grel[:, :, rlab], 2, 0))
+    keep = (rsrc[b] == rtgt[b]) == (j == l)
+    b, j, l = b[keep], j[keep], l[keep]
+    nx, ny = n1 * n2, b.size
+    x, y = np.arange(nx), nx + np.arange(ny)
+    y_rows = n1 + n2 + np.arange(2 * ny)
+    rows = np.concatenate([x // n2, n1 + x % n2, y_rows, y_rows])
+    cols = np.concatenate([x, x, y, y, rsrc[b] * n2 + j, rtgt[b] * n2 + l])
+    vals = np.concatenate([np.ones(2 * nx + 2 * ny), -np.ones(2 * ny)])
+    a = coo_matrix((vals, (rows, cols)), shape=(n1 + n2 + 2 * ny, nx + ny))
+    upper = np.concatenate([np.ones(n1 + n2), np.zeros(2 * ny)])
+    weight = np.concatenate([unary.ravel(), np.minimum(grel[j, l, rlab[b]], rcnt[b])])
+    for integrality in (None, np.concatenate([np.ones(nx), np.zeros(ny)])):
+        res = milp(-weight.astype(float), integrality=integrality, bounds=Bounds(0, 1),
+                   constraints=LinearConstraint(a, -np.inf, upper),
+                   options={"mip_rel_gap": 0})
+        if res.status != 0:
+            raise RuntimeError(f"Smatch ILP not solved to optimality: {res.message}")
+        # Above 0.9, at most one entry per row and column even in a
+        # fractional relaxation.
+        i, k = np.nonzero(res.x[:nx].reshape(n1, n2) > 0.9)
+        mapping = np.full(n1, -1, np.int64)
+        mapping[i] = k
+        score = int(score_mapping(mapping, unary, rsrc, rtgt, rlab, rcnt, grel))
+        if score > -res.fun - 0.5:
+            return mapping, score
+    raise RuntimeError(f"Smatch ILP mapping scores {score}, below its objective {-res.fun}")

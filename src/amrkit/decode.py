@@ -93,6 +93,15 @@ def beam_search(
     ]
 
 
+def check_enumerable(model: SeqModel, max_len: int) -> None:
+    """Raise TooLarge when ``|vocab| ** max_len`` exceeds the one million
+    sequences an exhaustive oracle may enumerate."""
+    if len(model.vocab) ** max_len > _ENUMERATION_BOUND:
+        raise TooLarge(
+            f"|vocab|^max_len = {len(model.vocab)}^{max_len} exceeds {_ENUMERATION_BOUND}"
+        )
+
+
 def exact_mode(model: SeqModel, src: Sequence[str], max_len: int) -> list[str]:
     """The most probable complete sequence, by exhaustive enumeration.
 
@@ -100,10 +109,7 @@ def exact_mode(model: SeqModel, src: Sequence[str], max_len: int) -> list[str]:
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if len(model.vocab) ** max_len > _ENUMERATION_BOUND:
-        raise TooLarge(
-            f"|vocab|^max_len = {len(model.vocab)}^{max_len} exceeds {_ENUMERATION_BOUND}"
-        )
+    check_enumerable(model, max_len)
     eos = model.index(EOS)
     best_lp = -math.inf
     best_ids: tuple[int, ...] | None = None

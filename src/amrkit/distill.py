@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decode import beam_search, strip_sentinels
-from .errors import AmrkitError, TooLarge
+from .decode import beam_search, check_enumerable, strip_sentinels
+from .errors import AmrkitError
 from .pipeline import AdapterError, CorpusRecord, NoiseSpec, apply_noise, resolve_translator
 from .repair import repair
 from .seqmodel import EOS, SeqModel, ToyCondModel
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-_ENUMERATION_BOUND = 1_000_000
 
 OBJECTIVES = ("mle", "token_kd", "seq_kd", "tok_plus_seq")
 
@@ -139,10 +137,7 @@ def exact_seq_kl(
     truncated at max_len with probability one, which makes both sides proper
     distributions over the same space.  Returns inf on support mismatch.
     """
-    if len(student.vocab) ** max_len > _ENUMERATION_BOUND:
-        raise TooLarge(
-            f"|vocab|^max_len = {len(student.vocab)}^{max_len} exceeds {_ENUMERATION_BOUND}"
-        )
+    check_enumerable(student, max_len)
     eos = student.index(EOS)
     total = 0.0
 

@@ -95,12 +95,12 @@ class ToyCondModel(SeqModel):
         buckets: int = 64,
     ):
         super().__init__(vocab)
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be in [1, {MAX_ORDER}]")
+        if type(order) is not int or not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"order must be an integer in [1, {MAX_ORDER}]")
         if alpha <= 0:
             raise ValueError("alpha must be > 0")
-        if buckets < 1:
-            raise ValueError("buckets must be >= 1")
+        if type(buckets) is not int or buckets < 1:
+            raise ValueError("buckets must be an integer >= 1")
         self.order = order
         self.alpha = alpha
         self.buckets = buckets
@@ -200,14 +200,12 @@ class ToyCondModel(SeqModel):
         vocab, counts = payload.get("vocab"), payload.get("counts")
         need(isinstance(vocab, list) and all(isinstance(t, str) for t in vocab),
              '"vocab" is not a list of strings')
-        need(all(type(payload.get(key)) is int for key in ("order", "buckets")),
-             '"order" and "buckets" must be integers')
         alpha = payload.get("alpha")
         need(isinstance(alpha, (int, float)) and 0 <= alpha < _MAX_COUNT,
              f'"alpha" is not a number in [0, {_MAX_COUNT:g})')
         need(isinstance(counts, list), '"counts" is not a list')
         try:
-            model = cls(vocab, payload["order"], alpha, payload["buckets"])
+            model = cls(vocab, payload.get("order"), alpha, payload.get("buckets"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         try:

@@ -7,17 +7,15 @@ then reports precision = matched/|pred|, recall = matched/|gold|, and F1.
 Relation and attribute labels are case-folded before comparison; constants
 are compared with surrounding quotes stripped; concepts compare exactly.
 
-``smatch_hill_climb`` is the restartable local search used in practice;
-``smatch_exact`` enumerates every injective mapping and is the testing
-oracle.  Both score with the NumPy kernels of ``_match``, which count the
-exact multiset overlap of triples, so the climber can never exceed the
-oracle.
+``smatch_hill_climb`` is the restartable local search used in practice.
+``smatch_exact`` is the optimum, found by a small integer linear program
+with no size bound (it needs scipy); it is the testing oracle.  Both score
+their mapping with the NumPy kernels of ``_match``, which count the exact
+multiset overlap of triples, so the climber can never exceed the oracle.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -25,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _match
-from .errors import AmrkitError, TooLarge
+from .errors import AmrkitError
 from .graph import AmrGraph, read_amr_file, to_triples
 
 __all__ = [
@@ -37,10 +35,6 @@ __all__ = [
     "corpus_smatch",
     "align_records",
 ]
-
-_MAX_ARRANGEMENTS = 2_000_000
-_EXACT_VAR_BOUND = 8
-
 
 class CountMismatch(AmrkitError):
     """Prediction and gold corpora do not align record for record."""
@@ -70,6 +64,12 @@ class CorpusReport:
     pred_triples: int
     gold_triples: int
     per_record: tuple[SmatchResult, ...] = field(default=(), repr=False)
+
+
+def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
+    p = matched / n_pred if n_pred else 0.0
+    r = matched / n_gold if n_gold else 0.0
+    return p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 def _norm_const(value: str) -> str:
@@ -124,13 +124,8 @@ class _Problem:
                     u += min(c, g_attr[j].get(key, 0))
                 self.unary[i, j] = u
 
-        nb = len(p_rel)
-        self.rsrc = np.zeros(nb, np.int64)
-        self.rtgt = np.zeros(nb, np.int64)
-        self.rlab = np.zeros(nb, np.int64)
-        self.rcnt = np.zeros(nb, np.int64)
-        for b, ((i, k, lab), c) in enumerate(p_rel.items()):
-            self.rsrc[b], self.rtgt[b], self.rlab[b], self.rcnt[b] = i, k, lab, c
+        buckets = np.array([(*key, c) for key, c in p_rel.items()], np.int64).reshape(-1, 4)
+        self.rsrc, self.rtgt, self.rlab, self.rcnt = buckets.T.copy()
         self.grel = np.zeros((n2, n2, max(len(labels), 1)), np.int64)
         for (j, l, lab), c in g_rel.items():
             self.grel[j, l, lab] = c
@@ -139,51 +134,22 @@ class _Problem:
         return self.unary, self.rsrc, self.rtgt, self.rlab, self.rcnt, self.grel
 
     def result(self, mapping: np.ndarray, matched: int) -> SmatchResult:
-        p = matched / self.n_pred_triples if self.n_pred_triples else 0.0
-        r = matched / self.n_gold_triples if self.n_gold_triples else 0.0
-        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
         assign = {
             self.pred_vars[i]: self.gold_vars[j]
             for i, j in enumerate(mapping)
             if j >= 0
         }
         return SmatchResult(
-            p, r, f1, int(matched), self.n_pred_triples, self.n_gold_triples, assign
+            *_prf(matched, self.n_pred_triples, self.n_gold_triples),
+            int(matched), self.n_pred_triples, self.n_gold_triples, assign,
         )
 
 
 def smatch_exact(pred: AmrGraph, gold: AmrGraph) -> SmatchResult:
-    """Globally optimal score by exhaustive enumeration of injective
-    mappings.  Raises TooLarge beyond min(|vars|) = 8 or two million
-    candidate mappings; intended for tests and small graphs."""
+    """Globally optimal score, by the integer linear program of
+    ``_match.exact_mapping``.  Any graph size; needs scipy."""
     prob = _Problem(pred, gold)
-    n1, n2 = prob.unary.shape
-    small, big = min(n1, n2), max(n1, n2)
-    if small > _EXACT_VAR_BOUND:
-        raise TooLarge(f"{small} variables on the smaller side exceeds {_EXACT_VAR_BOUND}")
-    count = math.perm(big, small)
-    if count > _MAX_ARRANGEMENTS:
-        raise TooLarge(f"{count} candidate mappings exceed {_MAX_ARRANGEMENTS}")
-
-    if n1 <= n2:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(n2), n1)),
-            dtype=np.int64,
-            count=count * n1,
-        )
-        mappings = flat.reshape(count, n1)
-    else:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.permutations(range(n1), n2)),
-            dtype=np.int64,
-            count=count * n2,
-        )
-        positions = flat.reshape(count, n2)
-        mappings = np.full((count, n1), -1, np.int64)
-        mappings[np.arange(count)[:, None], positions] = np.arange(n2)[None, :]
-
-    row, matched = _match.best_mapping(mappings, *prob.kernel_args())
-    return prob.result(mappings[int(row)], int(matched))
+    return prob.result(*_match.exact_mapping(*prob.kernel_args()))
 
 
 def _smart_init(prob: _Problem, rng: np.random.RandomState) -> np.ndarray:
@@ -286,7 +252,4 @@ def corpus_smatch(
     matched = sum(r.matched for r in results)
     tp = sum(r.n_pred_triples for r in results)
     tg = sum(r.n_gold_triples for r in results)
-    p = matched / tp if tp else 0.0
-    r = matched / tg if tg else 0.0
-    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return CorpusReport(p, r, f1, len(results), matched, tp, tg, tuple(results))
+    return CorpusReport(*_prf(matched, tp, tg), len(results), matched, tp, tg, tuple(results))

@@ -142,6 +142,20 @@ def reference_score(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
     return total
 
 
+def reference_best_score(unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
+    """Brute-force optimum for ``_match.exact_mapping``: the best
+    ``reference_score`` over every partial injective mapping, each pred
+    variable sent to a distinct gold variable or left unmapped (-1)."""
+    n1, n2 = unary.shape
+    best = 0
+    for cols in product(range(-1, n2), repeat=n1):
+        mapped = [c for c in cols if c >= 0]
+        if len(mapped) == len(set(mapped)):
+            mapping = np.array(cols, np.int64)
+            best = max(best, reference_score(mapping, unary, rsrc, rtgt, rlab, rcnt, grel))
+    return best
+
+
 def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
     """Brute-force form of ``_match.hill_climb``: every candidate move is
     rescored from scratch with ``reference_score``.  Remaps (by i, then

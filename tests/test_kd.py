@@ -115,6 +115,11 @@ class TestToyCondModel:
             ToyCondModel(V4, alpha=0.0)
         with pytest.raises(ValueError):
             ToyCondModel(V4, buckets=0)
+        for bad in (2.5, True, 2.0, "2"):
+            with pytest.raises(ValueError):
+                ToyCondModel(V4, order=bad)
+            with pytest.raises(ValueError):
+                ToyCondModel(V4, buckets=bad)
 
 
 class TestMleLoss:

@@ -1,10 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrkit import _match
-from amrkit.errors import TooLarge
 from amrkit.graph import AmrGraph, Edge, parse_penman, write_amr_file
 from amrkit.linearize import delinearize
 from amrkit.repair import FALLBACK
@@ -17,7 +20,13 @@ from amrkit.smatch import (
     smatch_hill_climb,
 )
 
-from .helpers import random_graph, reference_hill_climb, reference_score, rename_vars
+from .helpers import (
+    random_graph,
+    reference_best_score,
+    reference_hill_climb,
+    reference_score,
+    rename_vars,
+)
 
 WANT_BOY = parse_penman("(w / want-01 :ARG0 (b / boy))")
 WANT_GIRL = parse_penman("(w / want-01 :ARG0 (g / girl))")
@@ -81,14 +90,22 @@ class TestFixtures:
             m = smatch_exact(pred, gold).mapping
             assert len(set(m.values())) == len(m)
 
-    def test_exact_too_large(self):
+    def test_exact_twelve_variables_against_renamed_copy(self):
         rng = np.random.RandomState(0)
         while True:
             g = random_graph(rng, max_var_nodes=12)
-            if len(g.var_nodes()) > 8:
+            if len(g.var_nodes()) == 12:
                 break
-        with pytest.raises(TooLarge):
-            smatch_exact(g, g)
+        res = smatch_exact(g, rename_vars(g, "q"))
+        assert res.f1 == 1.0
+        assert len(res.mapping) == 12
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, amrkit; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(_match.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_case_folded_relations_and_quote_stripped_constants(self):
         a = parse_penman('(x / thing :ARG0-of (y / see-01) :name "Roma")')
@@ -128,6 +145,16 @@ class TestHillClimb:
                 smatch_hill_climb(pred, gold, restarts=2, seed=0).matched
                 <= smatch_exact(pred, gold).matched
             )
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_never_exceeds_exact_up_to_thirty_variables(self, seed):
+        rng = np.random.RandomState(seed)
+        pred, gold = random_graph(rng, 30), random_graph(rng, 30)
+        assert (
+            smatch_hill_climb(pred, gold, restarts=2, seed=0).matched
+            <= smatch_exact(pred, gold).matched
+        )
 
     def test_restarts_validated(self):
         with pytest.raises(ValueError):
@@ -197,8 +224,18 @@ class TestBackendParity:
             assert _match.score_mapping(mappings, *prob.kernel_args()).tolist() == loop
             for r in range(0, 50, 7):
                 assert _match.score_mapping(mappings[r], *prob.kernel_args()) == loop[r]
-            best = int(np.argmax(loop))
-            assert _match.best_mapping(mappings, *prob.kernel_args()) == (best, loop[best])
+
+    @given(kernel_problems(max_vars=5))
+    @settings(max_examples=500, deadline=None)
+    def test_exact_mapping_matches_brute_force(self, problem):
+        _, args = problem
+        mapping, score = _match.exact_mapping(*args)
+        n1, n2 = args[0].shape
+        assert mapping.shape == (n1,)
+        mapped = mapping[mapping >= 0]
+        assert mapped.size == np.unique(mapped).size and np.all(mapping < n2)
+        assert reference_score(mapping, *args) == score
+        assert score == reference_best_score(*args)
 
     def test_hill_climb_backends_agree(self):
         rng = np.random.RandomState(32)
