@@ -27,6 +27,7 @@ from .graph import (
 )
 from .linearize import delinearize, from_line, linearize, to_line
 from .pipeline import (
+    AdapterError,
     HashEmbedding,
     NoiseSpec,
     apply_noise,
@@ -35,6 +36,7 @@ from .pipeline import (
     corpus_stats,
     read_corpus_jsonl,
     resolve_translator,
+    translate_each,
     write_corpus_jsonl,
 )
 from .repair import RepairReport, repair_with_report
@@ -145,9 +147,7 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_smatch(args) -> int:
-    report = corpus_smatch(
-        args.pred, args.gold, restarts=args.restarts, seed=args.seed, jobs=args.jobs
-    )
+    report = corpus_smatch(args.pred, args.gold, restarts=args.restarts, seed=args.seed)
     if args.per_record:
         lines = [
             json.dumps(
@@ -185,14 +185,7 @@ def _cmd_distill(args) -> int:
     teacher = ToyCondModel.load(args.teacher)
     noise = _parse_noise(args.noise, args.seed, args.lang)
     sentences = [ln for ln in _read_lines(args.inputs) if ln.strip()]
-    records = seq_kd_build(
-        teacher,
-        sentences,
-        noise,
-        beam_size=args.beam,
-        max_len=args.max_len,
-        jobs=args.jobs,
-    )
+    records = seq_kd_build(teacher, sentences, noise, beam_size=args.beam, max_len=args.max_len)
     write_corpus_jsonl(args.out, records)
     print(f"# seed: {args.seed}")
     print(f"built {len(records)} records ({len(sentences) - len(records)} skipped) -> {args.out}")
@@ -201,7 +194,15 @@ def _cmd_distill(args) -> int:
 
 def _cmd_noise(args) -> int:
     noise = _parse_noise(args.kind, args.seed, args.lang)
-    out_lines = [apply_noise(noise, ln) for ln in _read_lines(args.infile)]
+    lines = _read_lines(args.infile)
+    if noise.kind == "mt_adapter":
+        tr = resolve_translator(noise.adapter)
+        out_lines = translate_each(tr, lines, "EN", noise.target_lang)
+        for out in out_lines:
+            if isinstance(out, AdapterError):
+                raise out
+    else:
+        out_lines = [apply_noise(noise, ln) for ln in lines]
     _write_text(args.out, "\n".join(out_lines) + "\n")
     if args.out:
         print(f"# seed: {args.seed}")
@@ -211,12 +212,7 @@ def _cmd_noise(args) -> int:
 
 def _cmd_filter(args) -> int:
     records = read_corpus_jsonl(args.infile)
-    kept, dropped = bt_filter(
-        records,
-        HashEmbedding(),
-        resolve_translator(),
-        threshold=args.threshold,
-    )
+    kept, dropped = bt_filter(records, HashEmbedding(), threshold=args.threshold)
     write_corpus_jsonl(args.kept, kept)
     if args.dropped:
         write_corpus_jsonl(args.dropped, dropped)
@@ -291,7 +287,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gold", required=True)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--per-record", dest="per_record")
     p.add_argument("--format", choices=("json", "table"), default="json")
 
@@ -303,7 +298,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", dest="max_len", type=int, default=64)
     p.add_argument("--lang", help="target language for mt noise")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
 
     p = add("noise", _cmd_noise, help="apply a noise generator to sentence lines")

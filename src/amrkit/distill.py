@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,7 +26,9 @@ import numpy as np
 
 from .decode import beam_search, check_enumerable, strip_sentinels
 from .errors import AmrkitError
-from .pipeline import AdapterError, CorpusRecord, NoiseSpec, apply_noise, resolve_translator
+from .pipeline import (
+    AdapterError, CorpusRecord, NoiseSpec, apply_noise, resolve_translator, translate_each,
+)
 from .repair import repair
 from .seqmodel import EOS, SeqModel, ToyCondModel
 
@@ -179,40 +180,42 @@ def seq_kd_build(
     teacher's beam-search mode (sentinels stripped, then repaired so it
     always delinearizes) and the student input is the noised sentence.
 
-    Adapter failures skip the affected record with a log line; the batch
-    never aborts.  Output order equals input order.
+    All inputs are noised before decoding; machine-translation noise goes
+    through ``translate_each``, so a command adapter sees one process per
+    chunk of inputs.  An input whose adapter call failed is skipped with a
+    log line and is not decoded; the batch never aborts.  Output order
+    equals input order.  ``jobs`` must be 1; it remains for callers written
+    when inputs could be decoded on several threads.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
+    sentences = list(english_inputs)
     if noise.kind == "mt_adapter":
         translator = translator or resolve_translator(noise.adapter)
-    lang = noise.target_lang if noise.kind == "mt_adapter" else "EN"
-
-    def build(item) -> CorpusRecord | None:
-        i, sentence = item
-        x_star = sentence.split()
-        top = beam_search(teacher, x_star, beam_size, max_len)[0]
-        target = repair(strip_sentinels(top.tokens))
-        try:
-            student_src = apply_noise(noise, sentence, translator=translator)
-        except AdapterError as exc:
-            log.warning("kd input %d: %s; skipped", i, exc)
-            return None
-        return CorpusRecord(
-            id=f"kd-{i:06d}",
-            lang=lang,
-            split="train",
-            src=student_src,
-            tgt=tuple(target),
-            provenance="seq-kd",
-            meta={"src_en": sentence, "noise": noise.kind},
-        )
-
-    items = list(enumerate(english_inputs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            built = list(pool.map(build, items))
+        noised = translate_each(translator, sentences, "EN", noise.target_lang)
+        lang = noise.target_lang
     else:
-        built = [build(item) for item in items]
-    return [rec for rec in built if rec is not None]
+        noised = [apply_noise(noise, sentence) for sentence in sentences]
+        lang = "EN"
+
+    records = []
+    for i, (sentence, student_src) in enumerate(zip(sentences, noised)):
+        if isinstance(student_src, AdapterError):
+            log.warning("kd input %d: %s; skipped", i, student_src)
+            continue
+        top = beam_search(teacher, sentence.split(), beam_size, max_len)[0]
+        records.append(
+            CorpusRecord(
+                id=f"kd-{i:06d}",
+                lang=lang,
+                split="train",
+                src=student_src,
+                tgt=tuple(repair(strip_sentinels(top.tokens))),
+                provenance="seq-kd",
+                meta={"src_en": sentence, "noise": noise.kind},
+            )
+        )
+    return records
 
 
 def kd_batches_from_corpus(
@@ -243,7 +246,7 @@ def train(
     translator=None,
 ) -> ToyCondModel:
     """One pass over the batches under the chosen objective; returns the
-    updated model (counts are mutated in place, single writer).
+    updated model (counts are mutated in place).
 
     mle and seq_kd count the record's hard target (for seq_kd that target is
     teacher-generated upstream); token_kd adds the teacher's per-step

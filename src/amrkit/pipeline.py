@@ -10,13 +10,12 @@ augmentation from linearized targets, and per-language/split bookkeeping.
 from __future__ import annotations
 
 import json
+import locale
 import logging
 import os
 import random
 import shlex
 import subprocess
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Protocol, Sequence
@@ -41,6 +40,7 @@ __all__ = [
     "HashEmbedding",
     "word_delete",
     "apply_noise",
+    "translate_each",
     "bt_filter",
     "cosine",
     "augment_vocab",
@@ -57,6 +57,8 @@ LANGS = ("EN", "DE", "ES", "IT", "ZH")
 PROVENANCES = ("gold", "silver-mt", "seq-kd")
 MASK = "<mask>"
 ADAPTER_CMD_ENV = "AMRKIT_ADAPTER_CMD"
+# Texts sent to one adapter process by CommandTranslator.translate_batch.
+ADAPTER_CHUNK = 256
 
 
 class AdapterError(AmrkitError):
@@ -193,29 +195,86 @@ class StubTranslator:
 
 
 class CommandTranslator:
-    """External adapter: runs ``cmd SRC TGT``, one sentence per stdin line,
-    one translation per stdout line.  Configure via the AMRKIT_ADAPTER_CMD
-    environment variable or a NoiseSpec adapter string."""
+    """External adapter: runs ``cmd SRC TGT``, which translates each stdin
+    line on its own into one stdout line.  Configure via the
+    AMRKIT_ADAPTER_CMD environment variable or a NoiseSpec adapter string.
+
+    ``translate`` starts one process per text.  ``translate_batch`` sends up
+    to ``ADAPTER_CHUNK`` texts to one process and retries a chunk text by
+    text through ``translate`` when its process fails, times out or answers
+    with another number of lines or with a carriage return, or when a text
+    of the chunk holds a line break, so its results always equal per-text
+    ``translate``.
+    """
 
     def __init__(self, cmd: str):
         self.cmd = cmd
 
-    def translate(self, text: str, src_lang: str, tgt_lang: str) -> str:
+    def _run(self, texts: Sequence[str], src_lang: str, tgt_lang: str) -> list[str]:
+        """The adapter's stdout lines for ``texts``, split at ``\\n`` (and
+        ``\\r\\n``) only: unlike a text-mode pipe, a lone ``\\r`` stays in
+        its line, so ``translate_batch`` can tell it from a line break."""
         argv = shlex.split(self.cmd) + [src_lang, tgt_lang]
+        enc = locale.getpreferredencoding(False)  # what a text-mode pipe uses
         try:
             proc = subprocess.run(
-                argv, input=text + "\n", capture_output=True, text=True, timeout=60
+                argv, input="".join(t + "\n" for t in texts).encode(enc), capture_output=True,
+                timeout=60 * len(texts),
             )
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise AdapterError(f"adapter {self.cmd!r} failed: {exc}") from exc
         if proc.returncode != 0:
             raise AdapterError(
-                f"adapter {self.cmd!r} exited {proc.returncode}: {proc.stderr.strip()}"
+                f"adapter {self.cmd!r} exited {proc.returncode}: {proc.stderr.decode(enc).strip()}"
             )
-        out = split_lines(proc.stdout)
+        return split_lines(proc.stdout.decode(enc))
+
+    def translate(self, text: str, src_lang: str, tgt_lang: str) -> str:
+        out = self._run([text], src_lang, tgt_lang)
         if not out:
             raise AdapterError(f"adapter {self.cmd!r} produced no output")
-        return out[0].strip()
+        return out[0].split("\r")[0].strip()  # the first line ends at any \r
+
+    def translate_batch(
+        self, texts: Sequence[str], src_lang: str, tgt_lang: str
+    ) -> list[str | AdapterError]:
+        """Each text's translation, or the AdapterError its own ``translate``
+        call raised."""
+        results: list[str | AdapterError] = []
+        for start in range(0, len(texts), ADAPTER_CHUNK):
+            chunk = texts[start : start + ADAPTER_CHUNK]
+            out: list[str] = []
+            if not any("\n" in t or "\r" in t for t in chunk):
+                try:
+                    out = self._run(chunk, src_lang, tgt_lang)
+                except AdapterError:
+                    pass
+            if len(out) == len(chunk) and not any("\r" in line for line in out):
+                results.extend(line.strip() for line in out)
+            else:
+                results.extend(_translate_or_error(self, t, src_lang, tgt_lang) for t in chunk)
+        return results
+
+
+def _translate_or_error(
+    tr: Translator, text: str, src_lang: str, tgt_lang: str
+) -> str | AdapterError:
+    try:
+        return tr.translate(text, src_lang, tgt_lang)
+    except AdapterError as exc:
+        return exc
+
+
+def translate_each(
+    tr: Translator, texts: Sequence[str], src_lang: str, tgt_lang: str
+) -> list[str | AdapterError]:
+    """Each text's translation, or the AdapterError that translating it
+    raised: through ``tr.translate_batch`` when the translator has one,
+    else one ``tr.translate`` call per text."""
+    batch = getattr(tr, "translate_batch", None)
+    if batch is not None:
+        return batch(texts, src_lang, tgt_lang)
+    return [_translate_or_error(tr, t, src_lang, tgt_lang) for t in texts]
 
 
 def resolve_translator(adapter: "Translator | str | None" = None) -> Translator:
@@ -245,17 +304,14 @@ class HashEmbedding:
         self.dim = dim
         self._cache: dict[str, np.ndarray] = {}
         # One generator reseeded per new word: building a RandomState costs
-        # far more than seeding one.  The lock keeps a seed and its draw
-        # together when bt_filter embeds from several threads.
+        # far more than seeding one.
         self._rng = np.random.RandomState(0)
-        self._rng_lock = threading.Lock()
 
     def _word_vec(self, word: str) -> np.ndarray:
         vec = self._cache.get(word)
         if vec is None:
-            with self._rng_lock:
-                self._rng.seed(stable_hash(word) & 0x7FFFFFFF)
-                vec = self._rng.standard_normal(self.dim)
+            self._rng.seed(stable_hash(word) & 0x7FFFFFFF)
+            vec = self._rng.standard_normal(self.dim)
             vec /= np.linalg.norm(vec)
             self._cache[word] = vec
         return vec
@@ -285,34 +341,39 @@ def bt_filter(
 
     Each record's foreign source is translated back to English and compared
     with the retained original (``meta['src_en']``) by embedding cosine;
-    records scoring >= threshold are kept.  Kept and dropped partition the
-    input in order; adapter failures drop the record with the reason logged,
-    never abort the batch.  ``jobs`` bounds concurrent adapter calls; output
-    ordering always equals input ordering.  The shipped default threshold
-    (0.85) is a configuration default, not a calibrated value.
+    records scoring >= threshold are kept.  The sources of each language go
+    to the translator together, through ``translate_each``.  Kept and
+    dropped partition the input in order; adapter failures drop the record
+    with the reason logged, never abort the batch.  ``jobs`` must be 1; it
+    remains for callers written when records could be filtered on several
+    threads.  The shipped default threshold (0.85) is a configuration
+    default, not a calibrated value.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     tr = translator or resolve_translator()
+    by_lang: dict[str, list[int]] = {}
+    for i, rec in enumerate(records):
+        if rec.meta.get("src_en") is not None:
+            by_lang.setdefault(rec.lang, []).append(i)
+    back: dict[int, str | AdapterError] = {}
+    for lang, idx in by_lang.items():
+        back.update(zip(idx, translate_each(tr, [records[i].src for i in idx], lang, "EN")))
 
-    def score(rec: CorpusRecord) -> tuple[CorpusRecord, bool]:
+    kept: list[CorpusRecord] = []
+    dropped: list[CorpusRecord] = []
+    for i, rec in enumerate(records):
         src_en = rec.meta.get("src_en")
         if src_en is None:
             log.warning("record %s: no src_en metadata; dropped", rec.id)
-            return rec, False
-        try:
-            back = tr.translate(rec.src, rec.lang, "EN")
-        except AdapterError as exc:
-            log.warning("record %s: %s; dropped", rec.id, exc)
-            return rec, False
-        quality = cosine(provider.embed(src_en, "EN"), provider.embed(back, "EN"))
-        return replace(rec, quality=quality), quality >= threshold
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            scored = list(pool.map(score, records))
-    else:
-        scored = [score(rec) for rec in records]
-    kept = [rec for rec, ok in scored if ok]
-    dropped = [rec for rec, ok in scored if not ok]
+            dropped.append(rec)
+        elif isinstance(back[i], AdapterError):
+            log.warning("record %s: %s; dropped", rec.id, back[i])
+            dropped.append(rec)
+        else:
+            quality = cosine(provider.embed(src_en, "EN"), provider.embed(back[i], "EN"))
+            rec = replace(rec, quality=quality)
+            (kept if quality >= threshold else dropped).append(rec)
     return kept, dropped
 
 

@@ -7,9 +7,7 @@ passed to ``next_dist`` never include BOS (models pad internally); returned
 vectors are nonnegative, sum to one within 1e-9, and depend only on
 (prefix, source).  Shipped models assign probability exactly zero to BOS so
 decoders never have to special-case it.  ``next_dist_batch`` answers several
-prefixes of one source at once, row for row equal to ``next_dist``.  Models
-are safe for concurrent read-only queries; training mutates under a
-single-writer contract.
+prefixes of one source at once, row for row equal to ``next_dist``.
 """
 
 from __future__ import annotations

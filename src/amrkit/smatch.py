@@ -16,7 +16,6 @@ multiset overlap of triples, so the climber can never exceed the oracle.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -231,24 +230,18 @@ def corpus_smatch(
 ) -> CorpusReport:
     """Micro-averaged Smatch over a corpus (file paths or graph lists).
 
-    Records may be scored in parallel; results are merged by record index,
-    and each record derives its own RNG seed, so the report is independent
-    of evaluation order.
+    Records are scored one after another, record ``i`` by a hill climb
+    seeded with ``seed + i``.  ``jobs`` must be 1; it remains for callers
+    written when records could be scored on several threads.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
     preds = read_amr_file(pred) if isinstance(pred, str) else list(pred)
     golds = read_amr_file(gold) if isinstance(gold, str) else list(gold)
-    pairs = align_records(preds, golds)
-
-    def score(item):
-        i, (p, g) = item
-        return smatch_hill_climb(p, g, restarts=restarts, seed=seed + i)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(score, enumerate(pairs)))
-    else:
-        results = [score(item) for item in enumerate(pairs)]
-
+    results = [
+        smatch_hill_climb(p, g, restarts=restarts, seed=seed + i)
+        for i, (p, g) in enumerate(align_records(preds, golds))
+    ]
     matched = sum(r.matched for r in results)
     tp = sum(r.n_pred_triples for r in results)
     tg = sum(r.n_gold_triples for r in results)

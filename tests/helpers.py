@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import shlex
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +32,35 @@ RELATIONS = (":ARG0", ":ARG1", ":ARG2", ":mod", ":op1", ":op2", ":time", ":locat
 CONSTANT_LITERALS = ("-", "+", "1", "2", "imperative", '"New York"', '"a b"')
 
 TOY_VOCAB = (BOS, EOS, "a", "b", "c")
+
+
+def counting_adapter(tmp_path: Path, drop_second: bool = False) -> tuple[str, Path]:
+    """A shell-script adapter command for ``CommandTranslator``, and the log
+    it appends one line to per process it runs as.  The adapter echoes each
+    stdin line, adds a carriage return and ``tail`` to a line containing
+    ``carriage`` and exits 1 at a line containing ``bad``; with
+    ``drop_second`` it leaves out the second line of its input."""
+    log = tmp_path / "adapter.log"
+    script = tmp_path / "adapter.sh"
+    drop = '[ "$n" -eq 2 ] && continue' if drop_second else ":"
+    script.write_text(
+        'echo run >> "$1"\n'
+        "n=0\n"
+        "while IFS= read -r line; do\n"
+        "  n=$((n + 1))\n"
+        "  case $line in\n"
+        "    *bad*) exit 1 ;;\n"
+        '    *carriage*) printf "%s\\rtail\\n" "$line"; continue ;;\n'
+        "  esac\n"
+        f"  {drop}\n"
+        "  printf '%s\\n' \"$line\"\n"
+        "done\n"
+    )
+    return f"sh {shlex.quote(str(script))} {shlex.quote(str(log))}", log
+
+
+def adapter_runs(log: Path) -> int:
+    return len(log.read_text().splitlines())
 
 
 def random_graph(

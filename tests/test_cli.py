@@ -21,7 +21,7 @@ from amrkit.repair import repair
 from amrkit.seqmodel import BOS, EOS, ToyCondModel
 from amrkit.smatch import corpus_smatch
 
-from .helpers import random_graph
+from .helpers import adapter_runs, counting_adapter, random_graph
 
 WANT_BOY = "(w / want-01 :ARG0 (b / boy))\n"
 
@@ -255,6 +255,20 @@ class TestNoiseCommand:
                     "--seed", "0", "--out", str(out)]) == 0
         assert "~es" in out.read_text()
 
+    def test_mt_kind_command_adapter(self, tmp_path, monkeypatch, capsys):
+        cmd, log = counting_adapter(tmp_path)
+        monkeypatch.setenv("AMRKIT_ADAPTER_CMD", cmd)
+        src, out = tmp_path / "s.txt", tmp_path / "n.txt"
+        argv = ["noise", "--in", str(src), "--kind", "mt", "--out", str(out)]
+        src.write_text("one\ntwo\nthree\n")
+        assert run(argv) == 0
+        assert out.read_text() == "one\ntwo\nthree\n"
+        assert adapter_runs(log) == 1
+        src.write_text("one\nbad two\nthree\n")
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("amrkit: error: adapter ")
+
 
 class TestPipelineCommands:
     def _toy_teacher(self, tmp_path):
@@ -436,13 +450,12 @@ def _invocations(draw, tmp_path):
         argv += maybe("--report", out)
     elif command == "smatch":
         argv += ["--pred", infile("penman"), "--gold", infile("penman")]
-        argv += maybe("--restarts", small) + maybe("--seed", seed) + maybe("--jobs", small)
+        argv += maybe("--restarts", small) + maybe("--seed", seed)
         argv += maybe("--per-record", out) + maybe("--format", fmt)
     elif command == "distill":
         argv += ["--teacher", infile("model"), "--inputs", infile("lines"), "--out", draw(out)]
         argv += maybe("--noise", noise) + maybe("--lang", lang) + maybe("--seed", seed)
         argv += maybe("--beam", st.integers(0, 8)) + maybe("--max-len", st.integers(0, 8))
-        argv += maybe("--jobs", small)
     elif command == "noise":
         argv += maybe("--kind", noise) + maybe("--lang", lang) + maybe("--seed", seed)
     elif command == "filter":

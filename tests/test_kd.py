@@ -26,6 +26,7 @@ from amrkit.seqmodel import BOS, EOS, MAX_ORDER, SeqModel, ToyCondModel
 from .helpers import (
     TOY_VOCAB,
     ScriptedModel,
+    counting_adapter,
     deterministic_model,
     random_toy_model,
     reference_beam_search,
@@ -407,28 +408,32 @@ class TestSeqKdBuild:
         assert records[0].lang == "DE"
         assert records[0].src != "good morning"
 
-    def test_adapter_failure_skips_record(self):
+    def test_adapter_failure_skips_record(self, tmp_path):
+        from amrkit.pipeline import AdapterError, CommandTranslator
+
         class Failing:
             def translate(self, text, src_lang, tgt_lang):
-                from amrkit.pipeline import AdapterError
-
                 if "bad" in text:
                     raise AdapterError("boom")
                 return text + "~de"
 
         teacher = deterministic_model(LINEAR_VOCAB, ["(", "<V0>", "boy", ")"])
+        decoded = set()
+        scripted = teacher.next_dist
+        teacher.next_dist = lambda prefix, src: decoded.add(" ".join(src)) or scripted(prefix, src)
         noise = NoiseSpec("mt_adapter", target_lang="DE")
-        records = seq_kd_build(
-            teacher, ["ok one", "bad two", "ok three"], noise, translator=Failing(), beam_size=1, max_len=8
-        )
-        assert [r.meta["src_en"] for r in records] == ["ok one", "ok three"]
+        cmd, _ = counting_adapter(tmp_path)
+        for tr in (Failing(), CommandTranslator(cmd)):
+            records = seq_kd_build(teacher, ["ok one", "bad two", "ok three"], noise,
+                                   translator=tr, beam_size=1, max_len=8)
+            assert [r.meta["src_en"] for r in records] == ["ok one", "ok three"]
+            assert [r.id for r in records] == ["kd-000000", "kd-000002"]
+        assert decoded == {"ok one", "ok three"}  # the failed input is never decoded
 
-    def test_parallel_build_matches_serial(self):
-        teacher = ToyCondModel(LINEAR_VOCAB, order=2, alpha=0.5)
-        sents = [f"sentence {i}" for i in range(12)]
-        a = seq_kd_build(teacher, sents, NoiseSpec("none"), beam_size=2, max_len=6, jobs=1)
-        b = seq_kd_build(teacher, sents, NoiseSpec("none"), beam_size=2, max_len=6, jobs=4)
-        assert a == b
+    def test_jobs_other_than_one_rejected(self):
+        teacher = deterministic_model(LINEAR_VOCAB, ["(", "<V0>", "boy", ")"])
+        with pytest.raises(ValueError):
+            seq_kd_build(teacher, ["one"], NoiseSpec("none"), jobs=2)
 
 
 class TestTrain:

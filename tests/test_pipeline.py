@@ -1,4 +1,5 @@
-import sys
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from amrkit.pipeline import (
     word_delete,
     write_corpus_jsonl,
 )
+
+from .helpers import adapter_runs, counting_adapter
 
 
 def expected_mask_count(rate: float, n: int) -> int:
@@ -97,6 +100,8 @@ class TestCommandTranslator:
         # \x0c and \x1c end a line for str.splitlines, not for the adapter
         tr = CommandTranslator("python3 -c \"print(input())\"")
         assert tr.translate("a\x0cb\x1cc", "EN", "DE") == "a\x0cb\x1cc"
+        # a one-line adapter answers a chunk with one line: retried per text
+        assert tr.translate_batch(["a\x0cb", "c\x1cd"], "EN", "DE") == ["a\x0cb", "c\x1cd"]
 
     def test_external_command_adapter(self):
         from amrkit.pipeline import CommandTranslator
@@ -108,12 +113,49 @@ class TestCommandTranslator:
         )
         tr = CommandTranslator(cmd)
         assert tr.translate("hello", "EN", "DE") == "HELLO EN-DE"
+        assert tr.translate_batch(["hello", "bye"], "EN", "DE") == ["HELLO EN-DE", "BYE EN-DE"]
 
     def test_failing_command_raises_adapter_error(self):
         from amrkit.pipeline import CommandTranslator
 
+        tr = CommandTranslator("python3 -c \"import sys; sys.exit(3)\"")
         with pytest.raises(AdapterError):
-            CommandTranslator("python3 -c \"import sys; sys.exit(3)\"").translate("x", "EN", "DE")
+            tr.translate("x", "EN", "DE")
+        out = tr.translate_batch(["x", "y"], "EN", "DE")
+        assert all(isinstance(o, AdapterError) for o in out)
+
+    def test_batch_starts_one_process_per_chunk(self, tmp_path):
+        from amrkit.pipeline import ADAPTER_CHUNK, CommandTranslator
+
+        cmd, log = counting_adapter(tmp_path)
+        tr = CommandTranslator(cmd)
+        texts = [f"text {i}" for i in range(300)]
+        out = tr.translate_batch(texts, "EN", "DE")
+        assert adapter_runs(log) == math.ceil(300 / ADAPTER_CHUNK)
+        assert out == [tr.translate(t, "EN", "DE") for t in texts]
+
+    @pytest.mark.parametrize(
+        "case, second, expected",
+        [
+            pytest.param("line break", "two\nlines", "two", id="line break"),
+            pytest.param("dropped line", "two", "two", id="dropped line"),
+            pytest.param("carriage return", "carriage two", "carriage two", id="carriage return"),
+            pytest.param("failing line", "bad two", AdapterError, id="failing line"),
+        ],
+    )
+    def test_batch_falls_back_text_by_text(self, tmp_path, case, second, expected):
+        from amrkit.pipeline import CommandTranslator
+
+        cmd, log = counting_adapter(tmp_path, drop_second=case == "dropped line")
+        tr = CommandTranslator(cmd)
+        out = tr.translate_batch(["one", second, "three"], "EN", "DE")
+        # one process per text, after the chunk's own unless a text breaks the line
+        assert adapter_runs(log) == (3 if case == "line break" else 4)
+        assert out[0] == "one" and out[2] == "three"
+        if expected is AdapterError:
+            assert isinstance(out[1], AdapterError)
+        else:
+            assert out[1] == expected == tr.translate(second, "EN", "DE")
 
     def test_env_variable_selects_command(self, monkeypatch):
         from amrkit.pipeline import ADAPTER_CMD_ENV, CommandTranslator, resolve_translator
@@ -233,45 +275,33 @@ class TestBtFilter:
         kept, dropped = bt_filter([rec], HashEmbedding(), StubTranslator(0))
         assert not kept and dropped == [rec]
 
-    def test_adapter_failure_drops_record_not_batch(self):
+    def test_adapter_failure_drops_record_not_batch(self, tmp_path):
+        from amrkit.pipeline import CommandTranslator
+
         class Failing:
             def translate(self, text, src_lang, tgt_lang):
-                if "zwei" in text:
+                if "bad" in text:
                     raise AdapterError("boom")
-                return text.replace("~de", "")
+                return text
 
         records = [
-            _foreign_record(0, "eins~de", "eins"),
-            _foreign_record(1, "zwei~de", "zwei"),
+            _foreign_record(0, "eins", "eins"),
+            replace(_foreign_record(1, "bad zwei", "bad zwei"), lang="IT"),
+            replace(_foreign_record(2, "drei", "drei"), lang="IT"),
+            _foreign_record(3, "vier", "vier"),
+            _foreign_record(4, "fuenf", "fuenf"),
         ]
-        kept, dropped = bt_filter(records, HashEmbedding(), Failing(), threshold=0.5)
-        assert [r.id for r in kept] == ["r0"]
-        assert [r.id for r in dropped] == ["r1"]
+        cmd, log = counting_adapter(tmp_path)
+        for tr in (Failing(), CommandTranslator(cmd)):
+            kept, dropped = bt_filter(records, HashEmbedding(), tr, threshold=0.5)
+            assert [r.id for r in kept] == ["r0", "r2", "r3", "r4"]
+            assert [r.id for r in dropped] == ["r1"]
+        # DE's three records in one process; IT's failed chunk, then each of its two
+        assert adapter_runs(log) == 4
 
-    def test_parallel_filter_matches_serial(self):
-        tr = StubTranslator(corrupt_pct=30)
-        records = [
-            _foreign_record(i, tr.translate(f"text {i} ok fine", "EN", "DE"), f"text {i} ok fine")
-            for i in range(30)
-        ]
-        serial = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=1)
-        parallel = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=4)
-        assert serial == parallel
-
-    def test_parallel_filter_shares_one_embedding(self):
-        # every word is new, so the pool threads all draw word vectors from
-        # the one embedding's generator, switching as often as they can
-        tr = StubTranslator(corrupt_pct=30)
-        english = [" ".join(f"w{i}x{k}" for k in range(12)) for i in range(150)]
-        records = [_foreign_record(i, tr.translate(s, "EN", "DE"), s) for i, s in enumerate(english)]
-        serial = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            parallel = bt_filter(records, HashEmbedding(), tr, threshold=0.7, jobs=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial == parallel
+    def test_jobs_other_than_one_rejected(self):
+        with pytest.raises(ValueError):
+            bt_filter([], HashEmbedding(), StubTranslator(), jobs=2)
 
 
 def _gold_record(i: int, tokens) -> CorpusRecord:

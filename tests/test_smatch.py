@@ -59,6 +59,15 @@ def kernel_problems(draw, max_vars=6, max_labels=3):
     return init, (unary.reshape(n1, n2), rsrc, rtgt, rlab, rcnt, grel.reshape(n2, n2, n_lab))
 
 
+def _loaded_by_import(module: str) -> bool:
+    """Whether ``import amrkit`` in a fresh interpreter loads ``module``."""
+    code = f"import sys, amrkit; print({module!r} in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(_match.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    return out.stdout.strip() != "False"
+
+
 class TestFixtures:
     def test_identical_graphs_score_one(self):
         for fn in (smatch_exact, smatch_hill_climb):
@@ -101,11 +110,11 @@ class TestFixtures:
         assert len(res.mapping) == 12
 
     def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, amrkit; print('scipy' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(_match.__file__))}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert not _loaded_by_import("scipy")
+
+    def test_import_leaves_concurrent_futures_unloaded(self):
+        # amrkit runs in one thread; a pool would import concurrent.futures
+        assert not _loaded_by_import("concurrent.futures")
 
     def test_case_folded_relations_and_quote_stripped_constants(self):
         a = parse_penman('(x / thing :ARG0-of (y / see-01) :name "Roma")')
@@ -303,13 +312,9 @@ class TestCorpus:
         with pytest.raises(CountMismatch):
             align_records([a], [b])
 
-    def test_parallel_evaluation_matches_serial(self, tmp_path):
-        rng = np.random.RandomState(44)
-        preds = [random_graph(rng, 5) for _ in range(20)]
-        golds = [random_graph(rng, 5) for _ in range(20)]
-        serial = corpus_smatch(preds, golds, seed=9, jobs=1)
-        parallel = corpus_smatch(preds, golds, seed=9, jobs=4)
-        assert serial == parallel
+    def test_jobs_other_than_one_rejected(self):
+        with pytest.raises(ValueError):
+            corpus_smatch([WANT_BOY], [WANT_BOY], jobs=2)
 
     def test_file_inputs(self, tmp_path):
         rng = np.random.RandomState(45)
