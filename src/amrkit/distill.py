@@ -242,8 +242,6 @@ def train(
     batches: Iterable[KdBatch],
     objective: str,
     teacher: SeqModel | None = None,
-    noise: NoiseSpec | None = None,
-    translator=None,
 ) -> ToyCondModel:
     """One pass over the batches under the chosen objective; returns the
     updated model (counts are mutated in place).
@@ -251,12 +249,11 @@ def train(
     mle and seq_kd count the record's hard target (for seq_kd that target is
     teacher-generated upstream); token_kd adds the teacher's per-step
     distributions as fractional counts along the target prefixes;
-    tok_plus_seq does both on the teacher-generated target.  Passing a
-    ``noise`` spec re-noises each student input from x* on every call
-    (resampled noise); by default inputs are used exactly as recorded.
-    A record whose target holds a token outside the model's vocabulary (a
-    repair placeholder such as ``amr-empty``, say) is skipped with a log
-    line, before it changes any count.
+    tok_plus_seq does both on the teacher-generated target.  Student inputs
+    are used exactly as recorded.  A record whose target holds a token
+    outside the model's vocabulary (a repair placeholder such as
+    ``amr-empty``, say) is skipped with a log line, before it changes any
+    count.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -273,15 +270,10 @@ def train(
             if unknown:
                 log.warning("training record skipped: token %r not in vocabulary", unknown[0])
                 continue
-            x = rec.x
-            if noise is not None:
-                x = tuple(
-                    apply_noise(noise, " ".join(rec.x_star), translator=translator).split()
-                )
             if objective != "token_kd":
-                model.observe(x, rec.y)
+                model.observe(rec.x, rec.y)
             if needs_teacher:
                 for t in range(len(rec.y)):
                     dist = teacher.next_dist(rec.y[:t], rec.x_star)
-                    model.add_dist_counts(rec.y[:t], x, dist)
+                    model.add_dist_counts(rec.y[:t], rec.x, dist)
     return model

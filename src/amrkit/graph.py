@@ -74,6 +74,18 @@ class Triple:
     tgt: str
 
 
+# The atom rule (all patterns are matched whole): an unquoted concept or
+# constant is not ``:``-prefixed, is not a variable token ``<Vn>`` of the
+# linear form, and holds no whitespace and none of ``()/"``.  A
+# double-quoted literal may hold anything, but only a constant may be one.
+# Relation labels are ``:`` plus the same characters.
+_BARE = r'[^\s()/"]+'
+VAR_TOKEN_RE = re.compile(r"<V(\d+)>")
+ATOM_RE = re.compile(rf"(?!:|{VAR_TOKEN_RE.pattern}\Z){_BARE}")
+QUOTED_RE = re.compile(r'"(?s:.*)"')
+LABEL_RE = re.compile(f":{_BARE}")
+
+
 @dataclass(frozen=True)
 class AmrGraph:
     """Immutable rooted graph. ``nodes`` and ``edges`` preserve construction
@@ -101,7 +113,8 @@ class AmrGraph:
         return [n for n in self.nodes if not n.constant]
 
     def check(self) -> "AmrGraph":
-        """Validate the structural invariants, returning self.
+        """Validate the structural invariants and the atom rule, returning
+        self.
 
         Raises ValueError on the first violation; used defensively after
         construction from untrusted sources (parsers, generators).
@@ -110,17 +123,11 @@ class AmrGraph:
             raise ValueError("duplicate node identifiers")
         if self.root not in self._by_id or self.node(self.root).constant:
             raise ValueError("root must name a variable-bearing node")
-        special = set('()/"')
         for n in self.nodes:
-            if not n.concept:
-                raise ValueError(f"empty concept on node {n.id!r}")
-            quoted = len(n.concept) >= 2 and n.concept[0] == '"' and n.concept[-1] == '"'
-            if not n.constant and quoted:
-                raise ValueError(f"quoted concept on variable node {n.id!r}")
-            if not quoted and special & set(n.concept):
-                raise ValueError(f"unquoted concept {n.concept!r} embeds structural characters")
+            if not (ATOM_RE.fullmatch(n.concept) or n.constant and QUOTED_RE.fullmatch(n.concept)):
+                raise ValueError(f"node {n.id!r}: {n.concept!r} breaks the atom rule")
         for e in self.edges:
-            if not e.label.startswith(":") or len(e.label) < 2 or special & set(e.label):
+            if not LABEL_RE.fullmatch(e.label):
                 raise ValueError(f"invalid edge label {e.label!r}")
             if e.src not in self._by_id or e.tgt not in self._by_id:
                 raise ValueError(f"edge {e} names a missing node")
@@ -185,17 +192,16 @@ def _split_metadata(text: str) -> tuple[dict[str, str], str]:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_QUOTED_RE = re.compile(r'^".*"$', re.S)
-
-
 def parse_penman(text: str) -> AmrGraph:
     """Parse one PENMAN expression (optionally preceded by ``# ::`` metadata
     lines) into an AmrGraph.
 
     The parser is strict: unbalanced parentheses, a variable definition with
-    no ``/ concept``, duplicate variable definitions, or trailing content all
-    raise MalformedPenman.  Re-entrant variable mentions (including forward
-    references) become additional edges to the one node.
+    no ``/ concept``, duplicate variable definitions, trailing content, or a
+    concept or constant that breaks the atom rule (``(a / :foo)``, a
+    constant ``<V1>``) all raise MalformedPenman.  Re-entrant variable
+    mentions (including forward references) become additional edges to the
+    one node.
     """
     meta, body = _split_metadata(text)
     tokens = _tokenize_penman(body)
@@ -225,12 +231,12 @@ def parse_penman(text: str) -> AmrGraph:
         if tok != "(":
             raise MalformedPenman(f"expected '(' but found {tok!r}")
         var = take()
-        if var in "()/" or _QUOTED_RE.match(var):
+        if var in "()/" or QUOTED_RE.fullmatch(var):
             raise MalformedPenman(f"expected variable name, found {var!r}")
         if take() != "/":
             raise MalformedPenman(f"missing '/' after variable {var!r}")
         concept = take()
-        if concept in "()/" or _QUOTED_RE.match(concept):
+        if concept in "()/" or QUOTED_RE.fullmatch(concept):
             raise MalformedPenman(f"missing concept after '/' for {var!r}")
         if var in concepts:
             raise MalformedPenman(f"duplicate definition of variable {var!r}")
@@ -281,7 +287,10 @@ def parse_penman(text: str) -> AmrGraph:
             nodes.append(Node(cid, tgt, constant=True))
         edges.append(Edge(src, label, cid))
 
-    return AmrGraph(tuple(nodes), tuple(edges), root, meta).check()
+    try:
+        return AmrGraph(tuple(nodes), tuple(edges), root, meta).check()
+    except ValueError as exc:
+        raise MalformedPenman(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -15,29 +15,32 @@ import re
 from typing import Iterator
 
 from .errors import AmrkitError
-from .graph import AmrGraph, Edge, Node
+from .graph import ATOM_RE, LABEL_RE, QUOTED_RE, VAR_TOKEN_RE, AmrGraph, Edge, Node
 
 __all__ = [
     "InvalidLinearization",
     "linearize",
     "delinearize",
     "validate_linear",
-    "is_var_token",
     "var_index",
     "var_token",
     "to_line",
     "from_line",
 ]
 
-_VAR_RE = re.compile(r"^<V(\d+)>$")
-_SPECIAL_CHARS = set('()/"')
-
 # token classes
 OPEN, CLOSE, REL, VAR, LIT, JUNK = "open", "close", "rel", "var", "lit", "junk"
 
+# the classes a token can fall in past the parentheses, from the atom rule
+_CLASS_RE = re.compile(
+    f"(?P<{VAR}>{VAR_TOKEN_RE.pattern})|(?P<{LIT}>{QUOTED_RE.pattern}|{ATOM_RE.pattern})"
+    f"|(?P<{REL}>{LABEL_RE.pattern})"
+)
+_MINTED_RE = re.compile(r"v\d+")
+
 
 class InvalidLinearization(AmrkitError):
-    """Token sequence violates the linearization invariants; run
+    """Token sequence that ``linearize`` does not give back; run
     ``amrkit.repair`` first."""
 
 
@@ -45,39 +48,27 @@ def var_token(index: int) -> str:
     return f"<V{index}>"
 
 
-def is_var_token(tok: str) -> bool:
-    return _VAR_RE.match(tok) is not None
-
-
 def var_index(tok: str) -> int:
-    m = _VAR_RE.match(tok)
+    m = VAR_TOKEN_RE.fullmatch(tok)
     if m is None:
         raise ValueError(f"not a variable token: {tok!r}")
     return int(m.group(1))
 
 
 def classify(tok: str) -> str:
-    """Token class for the linear grammar.
+    """Token class for the linear grammar, by the atom rule of
+    ``amrkit.graph``.
 
-    JUNK marks tokens no valid sequence may contain: empty strings, a bare
-    ``:``, or unquoted tokens embedding structural characters (which could
-    not survive a PENMAN round trip).
+    JUNK marks tokens no valid sequence may contain: the empty string, a bare
+    ``:``, and unquoted tokens holding whitespace or a structural character
+    (which could not survive a PENMAN round trip or ``to_line``).
     """
     if tok == "(":
         return OPEN
     if tok == ")":
         return CLOSE
-    if not tok:
-        return JUNK
-    if is_var_token(tok):
-        return VAR
-    if len(tok) >= 2 and tok[0] == '"' and tok[-1] == '"':
-        return LIT
-    if _SPECIAL_CHARS & set(tok):
-        return JUNK
-    if tok.startswith(":"):
-        return REL if len(tok) > 1 else JUNK
-    return LIT
+    m = _CLASS_RE.fullmatch(tok)
+    return m.lastgroup if m else JUNK
 
 
 def linearize(g: AmrGraph) -> list[str]:
@@ -112,120 +103,90 @@ def linearize(g: AmrGraph) -> list[str]:
 
 
 def delinearize(tokens: list[str]) -> AmrGraph:
-    """Rebuild the graph from a valid linearization, minting fresh variable
-    names v0..vn in first-visit order.
+    """Rebuild the graph of a valid linearization, minting variable names
+    v0..vn in first-visit order.
 
-    Raises InvalidLinearization on any invariant violation: unbalanced or
-    misplaced parentheses, a ``(`` not followed by a variable token, an
-    out-of-order variable index, a defining occurrence without a concept, a
-    reference to a variable not yet defined, or trailing content.
+    The tokens are read as groups ``( <Vk> concept (relation value)* )``,
+    each value a group, a variable token defined before it or a literal;
+    the graph must pass ``AmrGraph.check`` (the atom rule); and it is
+    accepted only when ``linearize`` gives the tokens back, so the round
+    trip holds by construction.  Anything else raises InvalidLinearization
+    at the first token at fault.
     """
-    if not tokens:
-        raise InvalidLinearization("empty sequence")
+    tokens = list(tokens)
+    n = len(tokens)
+    kinds = [classify(t) for t in tokens] + [None] * 3  # None: past the end
 
-    def fail(i: int, why: str) -> "InvalidLinearization":
-        tok = tokens[i] if i < len(tokens) else "<end>"
-        return InvalidLinearization(f"at token {i} ({tok!r}): {why}")
+    def fault(at: int, why: str) -> InvalidLinearization:
+        tok = repr(tokens[at]) if at < n else "end of input"
+        return InvalidLinearization(f"at token {at} ({tok}): {why}")
 
     nodes: list[Node] = []
     edges: list[Edge] = []
-    defined: dict[int, str] = {}
-    const_ids: dict[str, str] = {}
-    taken: set[str] = set()
-
-    def const_node(literal: str) -> str:
-        cid = const_ids.get(literal)
-        if cid is None:
-            cid = literal
-            # ids matching v<digits> are reserved for minted variables
-            while re.fullmatch(r"v\d+", cid) or cid in taken:
+    ids: dict[str, str] = {}  # variable token or literal -> node id
+    taken: set[str] = set()  # constant ids
+    stack: list[str] = []  # open nodes, innermost last
+    i = defined = 0
+    while stack or not nodes:  # until the root group closes
+        if stack:  # a ')' or a relation, whose value follows
+            if kinds[i] == CLOSE:
+                stack.pop()
+                i += 1
+                continue
+            if kinds[i] != REL:
+                raise fault(i, "expected a relation or ')'")
+            i += 1
+        if kinds[i] == OPEN:
+            if kinds[i + 1] != VAR:
+                raise fault(i + 1, "'(' must be followed by a variable token")
+            if kinds[i + 2] != LIT:
+                raise fault(i + 2, "variable definition missing its concept")
+            name = ids[tokens[i + 1]] = f"v{defined}"
+            defined += 1
+            nodes.append(Node(name, tokens[i + 2]))
+            if stack:
+                edges.append(Edge(stack[-1], tokens[i - 1], name))
+            stack.append(name)
+            i += 3
+            continue
+        if not stack:
+            raise fault(i, "expected '('")
+        if kinds[i] not in (VAR, LIT):
+            raise fault(i, f"relation {tokens[i - 1]!r} has no value")
+        tok = tokens[i]
+        if kinds[i] == LIT and tok not in ids:
+            cid = tok  # ids matching v<digits> are reserved for minted variables
+            while _MINTED_RE.fullmatch(cid) or cid in taken:
                 cid += "_"
             taken.add(cid)
-            const_ids[literal] = cid
-            nodes.append(Node(cid, literal, constant=True))
-        return cid
+            ids[tok] = cid
+            nodes.append(Node(cid, tok, constant=True))
+        if tok not in ids:
+            raise fault(i, "reference to a variable not defined before it")
+        edges.append(Edge(stack[-1], tokens[i - 1], ids[tok]))
+        i += 1
+    if i < n:
+        raise fault(i, "trailing content after the graph")
 
-    i = 0
-    n = len(tokens)
-    # stack of open node ids; pending holds a relation waiting for its value
-    stack: list[str] = []
-    pending: str | None = None
-
-    def open_node(pos: int) -> str:
-        nonlocal i
-        if tokens[pos] != "(":
-            raise fail(pos, "expected '('")
-        if pos + 1 >= n or not is_var_token(tokens[pos + 1]):
-            raise fail(pos + 1, "'(' must be followed by a variable token")
-        idx = var_index(tokens[pos + 1])
-        if idx != len(defined):
-            raise fail(pos + 1, f"variable index {idx} out of first-visit order")
-        if (
-            pos + 2 >= n
-            or classify(tokens[pos + 2]) != LIT
-            or tokens[pos + 2].startswith('"')
-        ):
-            raise fail(pos + 2, "variable definition missing its concept")
-        concept = tokens[pos + 2]
-        name = f"v{idx}"
-        defined[idx] = name
-        nodes.append(Node(name, concept))
-        i = pos + 3
-        return name
-
-    root = open_node(0)
-    stack.append(root)
-
-    while i < n:
-        tok = tokens[i]
-        kls = classify(tok)
-        if pending is not None:
-            # value position
-            if kls == OPEN:
-                child = open_node(i)
-                edges.append(Edge(stack[-1], pending, child))
-                stack.append(child)
-                pending = None
-                continue
-            if kls == VAR:
-                idx = var_index(tok)
-                if idx not in defined:
-                    raise fail(i, f"reference to undefined variable <V{idx}>")
-                edges.append(Edge(stack[-1], pending, defined[idx]))
-            elif kls == LIT:
-                edges.append(Edge(stack[-1], pending, const_node(tok)))
-            else:
-                raise fail(i, f"relation {pending!r} has no value")
-            pending = None
-            i += 1
-        elif kls == CLOSE:
-            stack.pop()
-            i += 1
-            if not stack:
-                break
-        elif kls == REL:
-            pending = tok
-            i += 1
-        else:
-            raise fail(i, "expected a relation or ')'")
-
-    if stack:
-        raise InvalidLinearization("unbalanced parentheses (unclosed group)")
-    if i != n:
-        raise fail(i, "trailing content after the graph")
-
+    graph = AmrGraph(tuple(nodes), tuple(edges), nodes[0].id)
     try:
-        return AmrGraph(tuple(nodes), tuple(edges), root).check()
+        graph.check()
     except ValueError as exc:
         raise InvalidLinearization(str(exc)) from exc
+    back = linearize(graph)
+    if back != tokens:
+        # the read copies every other token, so only a variable token can differ
+        at = next((j for j, (a, b) in enumerate(zip(back, tokens)) if a != b), min(n, len(back)))
+        raise fault(at, "variable tokens must read <V0>, <V1>, ... in first-visit order")
+    return graph
 
 
 def validate_linear(tokens: list[str]) -> bool:
-    """True iff the sequence satisfies all linearization invariants."""
+    """True iff ``delinearize`` accepts the sequence."""
     try:
         delinearize(tokens)
         return True
-    except (InvalidLinearization, ValueError):
+    except InvalidLinearization:
         return False
 
 

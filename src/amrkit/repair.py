@@ -1,10 +1,17 @@
 """Structural repair of model-emitted token sequences.
 
 ``repair`` turns an arbitrary token list into a valid linearization that
-``delinearize`` accepts.  It is total, idempotent, and leaves valid input
-untouched.  One left-to-right walk over the group grammar, with an explicit
-stack of open groups, emits only tokens that have a legal position, so its
-output is valid by construction.  As it goes it
+``delinearize`` accepts.  A line is valid iff ``linearize`` gives it back
+from the graph ``delinearize`` reads, and every unquoted concept and
+constant of that graph obeys the atom rule of ``amrkit.graph``: no ``:``
+prefix, not a ``<Vn>`` token, no whitespace and none of ``()/"``.  This
+walk is the only other implementation of that grammar, so
+``repair(t) == t`` holds exactly when ``validate_linear(t)`` does.
+
+``repair`` is total, idempotent, and leaves valid input untouched.  One
+left-to-right walk over the group grammar, with an explicit stack of open
+groups, emits only tokens that have a legal position, so its output is
+valid by construction.  As it goes it
 
 - drops an unmatched ``)`` (``parens_dropped``);
 - drops invalid segments (``segments_removed``, one per segment): content
@@ -19,11 +26,12 @@ output is valid by construction.  As it goes it
   (``concepts_inserted``); a group still open at end of input is kept and
   completed this way;
 - closes the groups left open at end of input (``parens_added``);
-- renumbers variable tokens to 0..n-1 in first-visit order, so a duplicate
-  definition becomes a fresh variable.  ``vars_renumbered`` counts each
-  kept variable token whose index changed; a minted variable counts when
-  its index differs from ``M + 1 + k``, where ``M`` is the largest variable
-  index the walk kept and ``k`` is the mint's order.
+- renumbers variable tokens to ``<V0>``..``<Vn-1>`` in first-visit order,
+  so a duplicate definition becomes a fresh variable and ``<V00>`` becomes
+  ``<V0>``.  ``vars_renumbered`` counts each kept variable token whose
+  spelling changed; a minted variable counts when its index differs from
+  ``M + 1 + k``, where ``M`` is the largest variable index the walk kept
+  and ``k`` is the mint's order.
 
 When nothing is left (for example, no group at all) the result is the
 single-node sequence ``FALLBACK`` = ``( <V0> amr-empty )``, so downstream
@@ -134,7 +142,7 @@ def repair_with_report(tokens: list[str]) -> tuple[list[str], RepairReport]:
             orig = var_index(var)
             top = max(top, orig)
             first_def.setdefault(orig, defined)
-            rep.vars_renumbered += orig != defined
+            rep.vars_renumbered += var != var_token(defined)
         out.append(var_token(defined))
         defined += 1
 
@@ -184,8 +192,9 @@ def repair_with_report(tokens: list[str]) -> tuple[list[str], RepairReport]:
                 orig = var_index(toks[i + 1])
                 top = max(top, orig)
                 if orig in first_def:
-                    rep.vars_renumbered += first_def[orig] != orig
-                    out.extend((tok, var_token(first_def[orig])))
+                    new = var_token(first_def[orig])
+                    rep.vars_renumbered += toks[i + 1] != new
+                    out.extend((tok, new))
                 else:
                     rep.segments_removed += 2  # undefined reference and its relation
             elif nxt == LIT:

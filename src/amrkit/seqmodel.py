@@ -12,7 +12,6 @@ prefixes of one source at once, row for row equal to ``next_dist``.
 
 from __future__ import annotations
 
-import copy
 import json
 import zlib
 from abc import ABC, abstractmethod
@@ -57,9 +56,6 @@ class SeqModel(ABC):
             return self._index[token]
         except KeyError:
             raise ValueError(f"token {token!r} not in vocabulary") from None
-
-    def content_tokens(self) -> tuple[str, ...]:
-        return tuple(t for t in self.vocab if t not in (BOS, EOS))
 
     @abstractmethod
     def next_dist(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
@@ -158,9 +154,6 @@ class ToyCondModel(SeqModel):
             if token == BOS:
                 raise ValueError("target sequence may not contain BOS")
             self.add_count(target[:t], src, token)
-
-    def clone(self) -> "ToyCondModel":
-        return copy.deepcopy(self)
 
     # -- persistence ---------------------------------------------------------
 

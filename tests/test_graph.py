@@ -69,6 +69,9 @@ class TestParse:
             '(w / a :wiki "unterminated)',
             '(w / a :wiki "x\\"',  # escaped quote, then end of input
             '(w / a :wiki "x\\',  # backslash as the last character of an open quote
+            "(a / b :ARG0 (c / d) :ARG1 <V1>)",  # a constant spelled as a variable token
+            "(a / :foo)",  # a relation-shaped concept
+            "(a / <V3>)",  # a concept spelled as a variable token
         ],
     )
     def test_rejects_what_serializer_cannot_emit(self, text):

@@ -87,6 +87,8 @@ class TestDelinearize:
             "( <V0> a :ARG0 :ARG1 ( <V1> b ) )",
             '( <V0> "quoted" )',
             "( <V0> a <V0> )",  # value without a relation
+            "( <V00> a )",  # non-canonical spelling of <V0>
+            "( <V0> a :ARG0 <V00> )",
         ],
     )
     def test_invalid_sequences_rejected(self, line):
@@ -94,6 +96,17 @@ class TestDelinearize:
         with pytest.raises(InvalidLinearization):
             delinearize(tokens)
         assert not validate_linear(tokens)
+
+    @pytest.mark.parametrize("bad", ["a b", ":ARG0 x", "<V0>\n"])
+    def test_unquoted_token_holding_whitespace_rejected(self, bad):
+        for tokens in (["(", "<V0>", bad, ")"], ["(", "<V0>", "a", ":ARG0", bad, ")"],
+                       ["(", "<V0>", "a", bad, "b", ")"]):
+            with pytest.raises(InvalidLinearization):
+                delinearize(tokens)
+
+    def test_error_names_first_token_at_fault(self):
+        with pytest.raises(InvalidLinearization, match=r"at token 5 \('<V2>'\)"):
+            delinearize(from_line("( <V0> a :ARG0 ( <V2> b ) :ARG1 <V2> )"))
 
     def test_constant_literal_colliding_with_minted_name(self):
         g = delinearize(from_line("( <V0> a :op1 v0 )"))
@@ -109,6 +122,16 @@ class TestDelinearize:
 
 
 class TestRoundTrip:
+    @given(st.lists(st.sampled_from(["(", ")", "<V0>", "<V1>", "<V00>", ":ARG0", "a",
+                                     '"q"', "a b", ""]), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_sequences_are_linearizations(self, tokens):
+        try:
+            g = delinearize(tokens)
+        except InvalidLinearization:
+            return
+        assert linearize(g) == tokens
+
     @given(graphs())
     @settings(max_examples=80, deadline=None)
     def test_token_sequence_fixed_point(self, g):

@@ -29,9 +29,30 @@ ALPHABET = [
     "a/b",
     "<V12>",
     "amr-unknown",
+    "<V00>",
+    "<V01>",
+    "New York",  # unquoted, holding a space
 ]
 
 fuzz_tokens = st.lists(st.sampled_from(ALPHABET), max_size=200)
+
+
+@st.composite
+def mutated_linearizations(draw):
+    """A random graph's linearization with up to three tokens replaced,
+    inserted, deleted or, for a variable token, respelled with a leading
+    zero: mostly invalid, but close to valid."""
+    tokens = linearize(random_graph(np.random.RandomState(draw(st.integers(0, 2**31 - 1)))))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        op = draw(st.sampled_from(["replace", "insert", "delete", "respell"]))
+        if op == "delete":
+            del tokens[i]
+        elif op == "respell":
+            tokens = [t.replace("<V", "<V0") if k == i else t for k, t in enumerate(tokens)]
+        else:
+            tokens[i : i + (op == "replace")] = [draw(st.sampled_from(ALPHABET))]
+    return tokens
 
 
 class TestFixtures:
@@ -130,6 +151,8 @@ class TestScenarios:
             ("boy ) ( <V0> a ) ) ( <V1> b )", "( <V0> a )",
              {"parens_dropped": 2, "segments_removed": 2}),
             ("( ( ) )", to_line(FALLBACK), {"segments_removed": 2, "fell_back": True}),
+            ("( <V00> a )", "( <V0> a )", {"vars_renumbered": 1}),  # respelled, same index
+            ("( <V0> a :ARG0 <V00> )", "( <V0> a :ARG0 <V0> )", {"vars_renumbered": 1}),
         ],
     )
     def test_fix_counts(self, line, expected, fixes):
@@ -169,3 +192,8 @@ class TestProperties:
     @settings(max_examples=200, deadline=None)
     def test_output_always_valid(self, tokens):
         assert validate_linear(repair(tokens))
+
+    @given(st.one_of(fuzz_tokens, mutated_linearizations()))
+    @settings(max_examples=400, deadline=None)
+    def test_repair_fixes_exactly_the_invalid_sequences(self, tokens):
+        assert validate_linear(tokens) == (repair(tokens) == tokens)
