@@ -77,12 +77,14 @@ class Triple:
 # The atom rule (all patterns are matched whole): an unquoted concept or
 # constant is not ``:``-prefixed, is not a variable token ``<Vn>`` of the
 # linear form, and holds no whitespace and none of ``()/"``.  A
-# double-quoted literal may hold anything, but only a constant may be one.
-# Relation labels are ``:`` plus the same characters.
+# double-quoted literal is what the PENMAN and line tokenizers read as one:
+# a backslash escapes the next character, and no other ``"`` may occur
+# inside.  Only a constant may be one.  Relation labels are ``:`` plus the
+# same characters as an unquoted atom.
 _BARE = r'[^\s()/"]+'
 VAR_TOKEN_RE = re.compile(r"<V(\d+)>")
 ATOM_RE = re.compile(rf"(?!:|{VAR_TOKEN_RE.pattern}\Z){_BARE}")
-QUOTED_RE = re.compile(r'"(?s:.*)"')
+QUOTED_RE = re.compile(r'"(?:[^"\\]|\\(?s:.))*"')
 LABEL_RE = re.compile(f":{_BARE}")
 
 
@@ -150,7 +152,7 @@ class AmrGraph:
 # Tokenization
 
 _META_FIELD_RE = re.compile(r"::(\S+)")
-_PENMAN_TOKEN_RE = re.compile(r'[()/]|"(?:[^"\\]|\\.)*"|[^\s()/"]+|"', re.S)
+_PENMAN_TOKEN_RE = re.compile(rf'[()/]|{QUOTED_RE.pattern}|{_BARE}|"')
 
 
 def _tokenize_penman(text: str) -> list[str]:
@@ -174,19 +176,23 @@ def split_lines(text: str) -> list[str]:
 
 
 def _split_metadata(text: str) -> tuple[dict[str, str], str]:
+    """The ``# ::key value`` fields of the comment lines (split at ``\\n``)
+    that open ``text``, and the rest of it as written: a quoted literal
+    in the body may hold a line break, or a line that starts with ``#``."""
     meta: dict[str, str] = {}
-    body_lines: list[str] = []
-    for line in split_lines(text):
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            rest = stripped.lstrip("#").strip()
-            fields = list(_META_FIELD_RE.finditer(rest))
-            for k, m in enumerate(fields):
-                end = fields[k + 1].start() if k + 1 < len(fields) else len(rest)
-                meta[m.group(1)] = rest[m.end() : end].strip()
-        else:
-            body_lines.append(line)
-    return meta, "\n".join(body_lines)
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start) + 1 or len(text)
+        stripped = text[start:stop].strip()
+        if stripped and not stripped.startswith("#"):
+            break
+        rest = stripped.lstrip("#").strip()
+        fields = list(_META_FIELD_RE.finditer(rest))
+        for k, m in enumerate(fields):
+            end = fields[k + 1].start() if k + 1 < len(fields) else len(rest)
+            meta[m.group(1)] = rest[m.end() : end].strip()
+        start = stop
+    return meta, text[start:]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,8 @@ def _split_metadata(text: str) -> tuple[dict[str, str], str]:
 
 def parse_penman(text: str) -> AmrGraph:
     """Parse one PENMAN expression (optionally preceded by ``# ::`` metadata
-    lines) into an AmrGraph.
+    lines; comment lines after the expression begins are not read as
+    metadata) into an AmrGraph.
 
     The parser is strict: unbalanced parentheses, a variable definition with
     no ``/ concept``, duplicate variable definitions, trailing content, or a
@@ -299,15 +306,29 @@ def parse_penman(text: str) -> AmrGraph:
 def serialize_penman(g: AmrGraph) -> str:
     """Render a graph as a single-line PENMAN string (plus metadata header
     lines when present).  The first mention of a node is expanded; later
-    mentions emit the variable only.  Whitespace is normalized."""
+    mentions emit the variable only.  Whitespace is normalized.
+
+    A variable named like a bare constant of the graph would read back as a
+    mention of that variable, so it is written with ``_`` appended until
+    its name is free."""
     visited: set[str] = set()
     parts: list[str] = []
     stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
+    names: dict[str, str] = {}  # variables written under another name
+    taken = {n.concept for n in g.nodes if n.constant}
+    for n in g.var_nodes():
+        if n.id in taken:
+            taken |= g._by_id.keys()
+            name = n.id + "_"
+            while name in taken:
+                name += "_"
+            taken.add(name)
+            names[n.id] = name
 
     def expand(node_id: str) -> None:
         node = g.node(node_id)
         visited.add(node_id)
-        parts.append(f"({node.id} / {node.concept}")
+        parts.append(f"({names.get(node_id, node_id)} / {node.concept}")
         stack.append(iter(g.outgoing(node_id)))
 
     expand(g.root)
@@ -317,7 +338,7 @@ def serialize_penman(g: AmrGraph) -> str:
             if tgt.constant:
                 parts.append(f" {e.label} {tgt.concept}")
             elif e.tgt in visited:
-                parts.append(f" {e.label} {tgt.id}")
+                parts.append(f" {e.label} {names.get(e.tgt, e.tgt)}")
             else:
                 parts.append(f" {e.label} ")
                 expand(e.tgt)

@@ -141,6 +141,8 @@ def delinearize(tokens: list[str]) -> AmrGraph:
                 raise fault(i + 1, "'(' must be followed by a variable token")
             if kinds[i + 2] != LIT:
                 raise fault(i + 2, "variable definition missing its concept")
+            if tokens[i + 2].startswith('"'):
+                raise fault(i + 2, "a concept may not be a quoted literal")
             name = ids[tokens[i + 1]] = f"v{defined}"
             defined += 1
             nodes.append(Node(name, tokens[i + 2]))

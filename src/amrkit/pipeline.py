@@ -230,6 +230,10 @@ class CommandTranslator:
         return split_lines(proc.stdout.decode(enc))
 
     def translate(self, text: str, src_lang: str, tgt_lang: str) -> str:
+        """The adapter's first output line for ``text``, stripped.  The line
+        ends at its first carriage return: ``head\\rtail`` gives ``head``,
+        and the rest is dropped without a message, as a text-mode pipe
+        would have split it into a second line."""
         out = self._run([text], src_lang, tgt_lang)
         if not out:
             raise AdapterError(f"adapter {self.cmd!r} produced no output")

@@ -24,7 +24,10 @@ valid by construction.  As it goes it
 - mints a variable for a group that lacks one and inserts the placeholder
   concept ``amr-unknown`` where a concept is missing
   (``concepts_inserted``); a group still open at end of input is kept and
-  completed this way;
+  completed this way, so ``( <V0> a :ARG0 (`` becomes
+  ``( <V0> a :ARG0 ( <V1> amr-unknown ) )`` (a placeholder node, two more
+  triples for Smatch), while the closed empty group of
+  ``( <V0> a :ARG0 ( ) )`` is dropped, giving ``( <V0> a )``;
 - closes the groups left open at end of input (``parens_added``);
 - renumbers variable tokens to ``<V0>``..``<Vn-1>`` in first-visit order,
   so a duplicate definition becomes a fresh variable and ``<V00>`` becomes

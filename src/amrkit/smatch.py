@@ -12,6 +12,8 @@ are compared with surrounding quotes stripped; concepts compare exactly.
 with no size bound (it needs scipy); it is the testing oracle.  Both score
 their mapping with the NumPy kernels of ``_match``, which count the exact
 multiset overlap of triples, so the climber can never exceed the oracle.
+Each result also carries ``upper_matched``, a bound on ``matched`` from
+triple counts alone; the climber stops its restarts once it meets it.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ class SmatchResult:
     n_pred_triples: int
     n_gold_triples: int
     mapping: dict[str, str]
+    upper_matched: int
 
 
 @dataclass(frozen=True)
 class CorpusReport:
     """Micro-averaged corpus scores: sums of matched/total triple counts
-    across records, then one division."""
+    across records, then one division.  ``upper_matched`` sums the
+    records' bounds on ``matched``."""
 
     precision: float
     recall: float
@@ -62,7 +66,8 @@ class CorpusReport:
     matched: int
     pred_triples: int
     gold_triples: int
-    per_record: tuple[SmatchResult, ...] = field(default=(), repr=False)
+    per_record: tuple[SmatchResult, ...] = field(repr=False)
+    upper_matched: int
 
 
 def _prf(matched: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
@@ -78,7 +83,15 @@ def _norm_const(value: str) -> str:
 
 
 class _Problem:
-    """Array encoding of one graph pair for the kernels in ``_match``."""
+    """Array encoding of one graph pair for the kernels in ``_match``, and
+    ``upper``, a bound on ``matched`` under any injective mapping.
+
+    Each matched pred triple pairs with a distinct gold triple of its class,
+    so ``upper`` sums, per concept, per attribute key (label and constant,
+    TOP included) and per relation label split into self-loops and other
+    edges, the smaller of the two sides' counts.  A self-loop can match only
+    a self-loop, as the mapping is injective.
+    """
 
     def __init__(self, pred: AmrGraph, gold: AmrGraph):
         pt, gt = to_triples(pred), to_triples(gold)
@@ -93,35 +106,46 @@ class _Problem:
         concepts: dict[str, int] = {}
         self.pred_concepts = np.zeros(n1, np.int64)
         self.gold_concepts = np.zeros(n2, np.int64)
-        p_attr: list[dict] = [dict() for _ in range(n1)]
-        g_attr: list[dict] = [dict() for _ in range(n2)]
+        # attribute key -> the variable index of each triple holding it
+        p_attr: dict[tuple[str, str], list[int]] = {}
+        g_attr: dict[tuple[str, str], list[int]] = {}
         labels: dict[str, int] = {}
         p_rel: dict[tuple[int, int, int], int] = {}
         g_rel: dict[tuple[int, int, int], int] = {}
+        # (label, is self-loop) -> relation triples of that class
+        p_rcls: dict[tuple[int, bool], int] = {}
+        g_rcls: dict[tuple[int, bool], int] = {}
 
-        for triples, idx, conc, attr, rel in (
-            (pt, pidx, self.pred_concepts, p_attr, p_rel),
-            (gt, gidx, self.gold_concepts, g_attr, g_rel),
+        for triples, idx, conc, attr, rel, rcls in (
+            (pt, pidx, self.pred_concepts, p_attr, p_rel, p_rcls),
+            (gt, gidx, self.gold_concepts, g_attr, g_rel, g_rcls),
         ):
             for t in triples:
                 if t.kind == "instance":
                     conc[idx[t.src]] = concepts.setdefault(t.tgt, len(concepts))
                 elif t.kind == "attribute":
-                    key = (t.label.casefold(), _norm_const(t.tgt))
-                    d = attr[idx[t.src]]
-                    d[key] = d.get(key, 0) + 1
+                    attr.setdefault((t.label.casefold(), _norm_const(t.tgt)), []).append(idx[t.src])
                 else:
                     lab = labels.setdefault(t.label.casefold(), len(labels))
                     key = (idx[t.src], idx[t.tgt], lab)
                     rel[key] = rel.get(key, 0) + 1
+                    cls = (lab, t.src == t.tgt)
+                    rcls[cls] = rcls.get(cls, 0) + 1
 
-        self.unary = np.zeros((n1, n2), np.int64)
-        for i in range(n1):
-            for j in range(n2):
-                u = int(self.pred_concepts[i] == self.gold_concepts[j])
-                for key, c in p_attr[i].items():
-                    u += min(c, g_attr[j].get(key, 0))
-                self.unary[i, j] = u
+        self.unary = (self.pred_concepts[:, None] == self.gold_concepts).astype(np.int64)
+        shared = p_attr.keys() & g_attr.keys()
+        for key in shared:
+            pc = np.bincount(p_attr[key], minlength=n1)
+            gc = np.bincount(g_attr[key], minlength=n2)
+            self.unary += np.minimum(pc[:, None], gc)
+
+        n_conc = len(concepts)
+        self.upper = (
+            int(np.minimum(np.bincount(self.pred_concepts, minlength=n_conc),
+                           np.bincount(self.gold_concepts, minlength=n_conc)).sum())
+            + sum(min(len(p_attr[key]), len(g_attr[key])) for key in shared)
+            + sum(min(c, g_rcls.get(cls, 0)) for cls, c in p_rcls.items())
+        )
 
         buckets = np.array([(*key, c) for key, c in p_rel.items()], np.int64).reshape(-1, 4)
         self.rsrc, self.rtgt, self.rlab, self.rcnt = buckets.T.copy()
@@ -140,7 +164,7 @@ class _Problem:
         }
         return SmatchResult(
             *_prf(matched, self.n_pred_triples, self.n_gold_triples),
-            int(matched), self.n_pred_triples, self.n_gold_triples, assign,
+            int(matched), self.n_pred_triples, self.n_gold_triples, assign, self.upper,
         )
 
 
@@ -182,7 +206,11 @@ def smatch_hill_climb(
 ) -> SmatchResult:
     """Best score over ``restarts`` hill-climbing runs: one concept-greedy
     initialization plus restarts-1 seeded random ones.  Deterministic given
-    the seed; ties keep the first mapping found."""
+    the seed; ties keep the first mapping found.
+
+    The restarts stop once the best score reaches ``upper_matched``: no
+    later run could beat it, and a tie would not replace it, so the result
+    is the one all ``restarts`` runs give."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     prob = _Problem(pred, gold)
@@ -195,6 +223,8 @@ def smatch_hill_climb(
         if matched > best:
             best = int(matched)
             best_mapping = mapping
+        if best >= prob.upper:
+            break
     return prob.result(best_mapping, best)
 
 
@@ -245,4 +275,5 @@ def corpus_smatch(
     matched = sum(r.matched for r in results)
     tp = sum(r.n_pred_triples for r in results)
     tg = sum(r.n_gold_triples for r in results)
-    return CorpusReport(*_prf(matched, tp, tg), len(results), matched, tp, tg, tuple(results))
+    upper = sum(r.upper_matched for r in results)
+    return CorpusReport(*_prf(matched, tp, tg), len(results), matched, tp, tg, tuple(results), upper)

@@ -11,8 +11,10 @@ import numpy as np
 
 from amrkit.decode import BeamHypothesis
 
-from amrkit.graph import AmrGraph, Edge, Node
+from amrkit import _match
+from amrkit.graph import AmrGraph, Edge, Node, to_triples
 from amrkit.seqmodel import BOS, EOS, SeqModel, ToyCondModel
+from amrkit.smatch import SmatchResult, _norm_const, _Problem, _random_init, _smart_init
 
 CONCEPTS = (
     "want-01",
@@ -228,6 +230,54 @@ def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
         else:
             mapping[[best_i, best_k]] = mapping[[best_k, best_i]]
         cur += best_gain
+
+
+def reference_unary(pred: AmrGraph, gold: AmrGraph) -> np.ndarray:
+    """Loop form of ``_Problem.unary``: for each pred variable i and gold
+    variable j (in instance-triple order), concept equality plus, per
+    attribute key (case-folded label, constant without quotes), the smaller
+    of the two variables' counts."""
+    def encode(g):
+        concepts, attrs = {}, {}
+        for t in to_triples(g):
+            if t.kind == "instance":
+                concepts[t.src] = t.tgt
+            elif t.kind == "attribute":
+                counts = attrs.setdefault(t.src, {})
+                key = (t.label.casefold(), _norm_const(t.tgt))
+                counts[key] = counts.get(key, 0) + 1
+        return concepts, attrs
+
+    pc, pa = encode(pred)
+    gc, ga = encode(gold)
+    unary = np.zeros((len(pc), len(gc)), np.int64)
+    for i, p in enumerate(pc):
+        for j, g in enumerate(gc):
+            u = int(pc[p] == gc[g])
+            for key, c in pa.get(p, {}).items():
+                u += min(c, ga.get(g, {}).get(key, 0))
+            unary[i, j] = u
+    return unary
+
+
+def reference_smatch_hill_climb(
+    pred: AmrGraph, gold: AmrGraph, restarts: int = 4, seed: int = 0
+) -> SmatchResult:
+    """``smatch.smatch_hill_climb`` without the early stop: it runs every
+    restart, keeping the first best mapping."""
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    prob = _Problem(pred, gold)
+    rng = np.random.RandomState(seed)
+    best_mapping = None
+    best = -1
+    for r in range(restarts):
+        mapping = _smart_init(prob, rng) if r == 0 else _random_init(prob, rng)
+        matched = _match.hill_climb(mapping, *prob.kernel_args())
+        if matched > best:
+            best = int(matched)
+            best_mapping = mapping
+    return prob.result(best_mapping, best)
 
 
 def reference_beam_search(model, src, beam_size, max_len):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amrkit.graph import (
+    ATOM_RE,
+    LABEL_RE,
     AmrGraph,
     Edge,
     MalformedPenman,
@@ -15,7 +17,7 @@ from amrkit.graph import (
     serialize_penman,
     to_triples,
 )
-from amrkit.linearize import linearize, to_line
+from amrkit.linearize import delinearize, from_line, linearize, to_line
 
 from .helpers import random_graph, rename_vars
 
@@ -32,6 +34,40 @@ def graphs(**kwargs):
     return st.integers(0, 2**31 - 1).map(
         lambda s: random_graph(np.random.RandomState(s), **kwargs)
     )
+
+
+# any atom, relation label or quoted literal the atom rule allows, with the
+# spellings that PENMAN text could read back as something else: atoms named
+# like random_graph's variables, and line breaks, comment-like lines and
+# escapes inside quotes
+_atoms = st.one_of(
+    st.sampled_from(["x0", "x1", "x0_", "v0"]),
+    st.text(min_size=1, max_size=6).filter(ATOM_RE.fullmatch),
+)
+_labels = st.text(min_size=1, max_size=5).map(":".__add__).filter(LABEL_RE.fullmatch)
+_quoted = st.lists(
+    st.one_of(
+        st.sampled_from(["\n", "\r\n", "\n# ::id q", "\n\n", "\\\"", "\\\\", "\\\n"]),
+        st.characters(blacklist_characters='"\\'),
+        st.characters().map("\\".__add__),
+    ),
+    max_size=6,
+).map(lambda parts: '"' + "".join(parts) + '"')
+
+
+@st.composite
+def literal_graphs(draw):
+    """A ``random_graph`` shape (variables ``x0``, ``x1``, ...) whose
+    concepts, constants and relation labels are drawn from everything the
+    atom rule allows, quoted literals with escapes, quotes, backslashes and
+    line breaks included."""
+    g = random_graph(np.random.RandomState(draw(st.integers(0, 2**31 - 1))), 6)
+    nodes = tuple(
+        Node(n.id, draw(st.one_of(_atoms, _quoted) if n.constant else _atoms), n.constant)
+        for n in g.nodes
+    )
+    edges = tuple(Edge(e.src, draw(_labels), e.tgt) for e in g.edges)
+    return AmrGraph(nodes, edges, g.root).check()
 
 
 class TestParse:
@@ -188,6 +224,14 @@ class TestRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_with_renamed_vars(self, g):
         assert canonical(parse_penman(serialize_penman(rename_vars(g)))) == canonical(g)
+
+    @given(literal_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_every_checked_graph_round_trips(self, g):
+        assert canonical(parse_penman(serialize_penman(g))) == canonical(g)
+        tokens = linearize(g)
+        assert from_line(to_line(tokens)) == tokens
+        assert linearize(delinearize(tokens)) == tokens
 
     def test_file_format_blocks(self):
         rng = np.random.RandomState(0)

@@ -53,6 +53,27 @@ class TestLinearize:
         assert seen == list(range(len(g.var_nodes())))
 
 
+# invalid lines and the token each read fault names
+INVALID_LINES = [
+    ("", 0),
+    ("boy", 0),
+    ("( boy )", 1),
+    ("( <V1> cat )", 1),  # index out of first-visit order
+    ("( <V0> )", 2),
+    ("( <V0> a :ARG0 <V2> )", 4),  # reference to an undefined variable
+    ("( <V0> a :ARG0 <V1> :ARG1 ( <V1> b ) )", 4),  # forward reference
+    ("( <V0> a", 3),
+    ("( <V0> a ) )", 4),
+    ("( <V0> a ) ( <V1> b )", 4),
+    ("( <V0> a :ARG0 )", 4),
+    ("( <V0> a :ARG0 :ARG1 ( <V1> b ) )", 4),
+    ('( <V0> "quoted" )', 2),  # only a constant may be quoted
+    ("( <V0> a <V0> )", 3),  # value without a relation
+    ("( <V00> a )", 1),  # non-canonical spelling of <V0>
+    ("( <V0> a :ARG0 <V00> )", 4),
+]
+
+
 class TestDelinearize:
     def test_single_node(self):
         g = delinearize(["(", "<V0>", "cat", ")"])
@@ -70,32 +91,19 @@ class TestDelinearize:
         g = delinearize(from_line("( <V0> a :ARG0 ( <V1> b ) )"))
         assert [n.id for n in g.var_nodes()] == ["v0", "v1"]
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "",
-            "boy",
-            "( boy )",
-            "( <V1> cat )",  # index out of first-visit order
-            "( <V0> )",
-            "( <V0> a :ARG0 <V2> )",  # reference to an undefined variable
-            "( <V0> a :ARG0 <V1> :ARG1 ( <V1> b ) )",  # forward reference
-            "( <V0> a",
-            "( <V0> a ) )",
-            "( <V0> a ) ( <V1> b )",
-            "( <V0> a :ARG0 )",
-            "( <V0> a :ARG0 :ARG1 ( <V1> b ) )",
-            '( <V0> "quoted" )',
-            "( <V0> a <V0> )",  # value without a relation
-            "( <V00> a )",  # non-canonical spelling of <V0>
-            "( <V0> a :ARG0 <V00> )",
-        ],
-    )
-    def test_invalid_sequences_rejected(self, line):
+    @pytest.mark.parametrize("line, at", INVALID_LINES, ids=[line for line, _ in INVALID_LINES])
+    def test_invalid_sequences_rejected(self, line, at):
         tokens = from_line(line)
-        with pytest.raises(InvalidLinearization):
+        with pytest.raises(InvalidLinearization, match=rf"^at token {at} "):
             delinearize(tokens)
         assert not validate_linear(tokens)
+
+    def test_unescaped_quote_inside_quoted_literal_rejected(self):
+        # the line tokenizer and the PENMAN reader would split it, so the
+        # read rejects it as a value
+        with pytest.raises(InvalidLinearization, match=r"^at token 4 "):
+            delinearize(["(", "<V0>", "a", ":name", '"x"y"', ")"])
+        assert validate_linear(["(", "<V0>", "a", ":name", '"x\\"y"', ")"])
 
     @pytest.mark.parametrize("bad", ["a b", ":ARG0 x", "<V0>\n"])
     def test_unquoted_token_holding_whitespace_rejected(self, bad):

@@ -4,11 +4,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amrkit import _match
-from amrkit.graph import AmrGraph, Edge, parse_penman, write_amr_file
+from amrkit.graph import AmrGraph, Edge, Node, parse_penman, write_amr_file
 from amrkit.linearize import delinearize
 from amrkit.repair import FALLBACK
 from amrkit.smatch import (
@@ -21,10 +21,14 @@ from amrkit.smatch import (
 )
 
 from .helpers import (
+    CONCEPTS,
+    RELATIONS,
     random_graph,
     reference_best_score,
     reference_hill_climb,
     reference_score,
+    reference_smatch_hill_climb,
+    reference_unary,
     rename_vars,
 )
 
@@ -59,9 +63,43 @@ def kernel_problems(draw, max_vars=6, max_labels=3):
     return init, (unary.reshape(n1, n2), rsrc, rtgt, rlab, rcnt, grel.reshape(n2, n2, n_lab))
 
 
-def _loaded_by_import(module: str) -> bool:
-    """Whether ``import amrkit`` in a fresh interpreter loads ``module``."""
-    code = f"import sys, amrkit; print({module!r} in sys.modules)"
+def _decorated(rng: np.random.RandomState, g: AmrGraph) -> AmrGraph:
+    """``g``, at random with a self-loop added and with one of its attribute
+    edges repeated."""
+    edges = list(g.edges)
+    var_ids = [n.id for n in g.var_nodes()]
+    if rng.randint(2):
+        v = var_ids[rng.randint(len(var_ids))]
+        edges.append(Edge(v, RELATIONS[rng.randint(len(RELATIONS))], v))
+    attrs = [e for e in edges if g.node(e.tgt).constant]
+    if attrs and rng.randint(2):
+        edges.append(attrs[rng.randint(len(attrs))])
+    return AmrGraph(g.nodes, tuple(edges), g.root).check()
+
+
+def random_pair(rng: np.random.RandomState) -> tuple[AmrGraph, AmrGraph]:
+    """A pred/gold pair: a random graph of one to eight variables (one
+    variable and no edges included), self-loops and repeated attributes
+    added at random, against an unrelated graph, a renamed copy, or a
+    renamed copy with one concept changed."""
+    pred = _decorated(rng, random_graph(rng, int(rng.randint(1, 9)), int(rng.randint(0, 4))))
+    kind = rng.randint(3)
+    if kind == 0:
+        return pred, _decorated(rng, random_graph(rng, int(rng.randint(1, 9))))
+    gold = rename_vars(pred, "g")
+    if kind == 2:
+        k = rng.randint(len(gold.nodes))
+        nodes = list(gold.nodes)
+        if not nodes[k].constant:
+            nodes[k] = Node(nodes[k].id, CONCEPTS[rng.randint(len(CONCEPTS))])
+        gold = AmrGraph(tuple(nodes), gold.edges, gold.root).check()
+    return pred, gold
+
+
+def _loaded_by_import(module: str, then: str = "") -> bool:
+    """Whether ``import amrkit`` in a fresh interpreter, followed by the
+    statements ``then``, loads ``module``."""
+    code = f"import sys, amrkit\n{then}\nprint({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(_match.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
@@ -111,6 +149,12 @@ class TestFixtures:
 
     def test_import_leaves_scipy_unloaded(self):
         assert not _loaded_by_import("scipy")
+        # scoring a corpus does not load it either
+        assert not _loaded_by_import("scipy", (
+            "gs = [amrkit.parse_penman('(w / want-01 :ARG0 (b / boy))'),"
+            " amrkit.parse_penman('(c / cat :polarity -)')]\n"
+            "assert amrkit.corpus_smatch(gs, gs[::-1]).n_records == 2"
+        ))
 
     def test_import_leaves_concurrent_futures_unloaded(self):
         # amrkit runs in one thread; a pool would import concurrent.futures
@@ -169,6 +213,50 @@ class TestHillClimb:
         with pytest.raises(ValueError):
             smatch_hill_climb(WANT_BOY, WANT_BOY, restarts=0)
 
+    def test_early_stop_matches_every_restart(self, monkeypatch):
+        calls = []
+        climb = _match.hill_climb
+        monkeypatch.setattr(_match, "hill_climb", lambda *a: calls.append(1) or climb(*a))
+        rng = np.random.RandomState(33)
+        climbs = total = 0
+        for k in range(360):
+            pred, gold = random_pair(rng)
+            restarts = 1 + k % 6
+            total += restarts
+            n = len(calls)
+            res = smatch_hill_climb(pred, gold, restarts=restarts, seed=k)
+            climbs += len(calls) - n
+            # matched, mapping, P/R/F1 and the bound
+            assert res == reference_smatch_hill_climb(pred, gold, restarts=restarts, seed=k)
+        # the bound cut the restarts on a good share of the pairs
+        assert climbs < 0.5 * total
+
+
+class TestBound:
+    @given(st.integers(0, 2**31 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_climb_exact_upper_in_order(self, seed):
+        pred, gold = random_pair(np.random.RandomState(seed))
+        climbed = smatch_hill_climb(pred, gold, restarts=2, seed=0)
+        exact = smatch_exact(pred, gold)
+        assert climbed.upper_matched == exact.upper_matched
+        assert climbed.matched <= exact.matched <= exact.upper_matched
+        assert exact.upper_matched <= min(exact.n_pred_triples, exact.n_gold_triples)
+
+    def test_bound_counts_each_triple_class(self):
+        # two `boy` instances against one, :ARG0 against :arg0, and a
+        # self-loop that no edge between two variables can match
+        pred = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (c / boy) :mod w :polarity -)")
+        gold = parse_penman("(w / want-01 :arg0 (b / boy) :mod b :polarity - :polarity -)")
+        res = smatch_hill_climb(pred, gold)
+        # concepts 2, TOP 1, polarity 1, arg0 1, mod 0 (self-loop against edge)
+        assert res.upper_matched == 5 == res.matched
+
+    def test_corpus_bound_is_the_sum(self):
+        pred2, gold2 = parse_penman("(c / cat)"), parse_penman("(c / cat :ARG0 (d / dog))")
+        report = corpus_smatch([WANT_BOY, pred2], [WANT_GIRL, gold2], seed=0)
+        assert report.upper_matched == sum(r.upper_matched for r in report.per_record) == 5
+
 
 class TestProperties:
     def test_swap_symmetry(self):
@@ -218,6 +306,15 @@ class TestProperties:
 
 
 class TestBackendParity:
+    def test_unary_matches_loop(self):
+        rng = np.random.RandomState(34)
+        for _ in range(200):
+            pred, gold = random_pair(rng)
+            unary = _Problem(pred, gold).unary
+            ref = reference_unary(pred, gold)
+            assert unary.dtype == ref.dtype and unary.shape == ref.shape
+            assert np.array_equal(unary, ref)
+
     def test_loop_and_vectorized_agree(self):
         rng = np.random.RandomState(31)
         for _ in range(40):
@@ -235,6 +332,16 @@ class TestBackendParity:
                 assert _match.score_mapping(mappings[r], *prob.kernel_args()) == loop[r]
 
     @given(kernel_problems(max_vars=5))
+    @example((np.full(3, -1, np.int64), (
+        # HiGHS with presolve called a mapping of 17 optimal here; the optimum is 19
+        np.array([[2, 1, 0, 0, 3], [2, 2, 0, 2, 1], [0, 0, 0, 0, 3]], np.int64),
+        np.array([0, 1, 0, 2, 2, 0, 1, 0], np.int64),
+        np.array([0, 0, 2, 1, 1, 2, 0, 2], np.int64),
+        np.zeros(8, np.int64),
+        np.array([2, 1, 1, 1, 1, 3, 2, 3], np.int64),
+        np.array([[2, 2, 3, 1, 2], [1, 0, 2, 3, 1], [1, 0, 1, 2, 1], [2, 1, 0, 2, 2],
+                  [0, 2, 2, 2, 0]], np.int64)[:, :, None],
+    )))
     @settings(max_examples=500, deadline=None)
     def test_exact_mapping_matches_brute_force(self, problem):
         _, args = problem
