@@ -30,13 +30,11 @@ from .pipeline import (
     AdapterError,
     HashEmbedding,
     NoiseSpec,
-    apply_noise,
     augment_vocab,
     bt_filter,
     corpus_stats,
+    noise_each,
     read_corpus_jsonl,
-    resolve_translator,
-    translate_each,
     write_corpus_jsonl,
 )
 from .repair import RepairReport, repair_with_report
@@ -194,15 +192,10 @@ def _cmd_distill(args) -> int:
 
 def _cmd_noise(args) -> int:
     noise = _parse_noise(args.kind, args.seed, args.lang)
-    lines = _read_lines(args.infile)
-    if noise.kind == "mt_adapter":
-        tr = resolve_translator(noise.adapter)
-        out_lines = translate_each(tr, lines, "EN", noise.target_lang)
-        for out in out_lines:
-            if isinstance(out, AdapterError):
-                raise out
-    else:
-        out_lines = [apply_noise(noise, ln) for ln in lines]
+    out_lines = noise_each(noise, _read_lines(args.infile))
+    for out in out_lines:
+        if isinstance(out, AdapterError):
+            raise out
     _write_text(args.out, "\n".join(out_lines) + "\n")
     if args.out:
         print(f"# seed: {args.seed}")

@@ -26,9 +26,7 @@ import numpy as np
 
 from .decode import beam_search, check_enumerable, strip_sentinels
 from .errors import AmrkitError
-from .pipeline import (
-    AdapterError, CorpusRecord, NoiseSpec, apply_noise, resolve_translator, translate_each,
-)
+from .pipeline import AdapterError, CorpusRecord, NoiseSpec, noise_each
 from .repair import repair
 from .seqmodel import EOS, SeqModel, ToyCondModel
 
@@ -180,23 +178,18 @@ def seq_kd_build(
     teacher's beam-search mode (sentinels stripped, then repaired so it
     always delinearizes) and the student input is the noised sentence.
 
-    All inputs are noised before decoding; machine-translation noise goes
-    through ``translate_each``, so a command adapter sees one process per
-    chunk of inputs.  An input whose adapter call failed is skipped with a
-    log line and is not decoded; the batch never aborts.  Output order
-    equals input order.  ``jobs`` must be 1; it remains for callers written
-    when inputs could be decoded on several threads.
+    All inputs are noised before decoding, by one ``noise_each`` call, so a
+    command adapter sees one process per chunk of inputs.  An input whose
+    adapter call failed is skipped with a log line and is not decoded; the
+    batch never aborts.  Output order equals input order.  ``jobs`` must be
+    1; it remains for callers written when inputs could be decoded on
+    several threads.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
     sentences = list(english_inputs)
-    if noise.kind == "mt_adapter":
-        translator = translator or resolve_translator(noise.adapter)
-        noised = translate_each(translator, sentences, "EN", noise.target_lang)
-        lang = noise.target_lang
-    else:
-        noised = [apply_noise(noise, sentence) for sentence in sentences]
-        lang = "EN"
+    noised = noise_each(noise, sentences, translator)
+    lang = noise.target_lang if noise.kind == "mt_adapter" else "EN"
 
     records = []
     for i, (sentence, student_src) in enumerate(zip(sentences, noised)):

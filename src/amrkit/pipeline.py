@@ -1,6 +1,7 @@
 """Silver-data construction and quality control.
 
-Covers the corpus record model and its JSONL form, word-deletion noise,
+Covers the corpus record model and its JSONL form, student-input noise
+(``noise_each``, the one function that applies a ``NoiseSpec``),
 machine-translation adapters (an external command hook plus a deterministic
 hash-based stub so the whole pipeline runs hermetically), back-translation
 consistency filtering with embedding cosine similarity, vocabulary
@@ -39,7 +40,7 @@ __all__ = [
     "EmbeddingProvider",
     "HashEmbedding",
     "word_delete",
-    "apply_noise",
+    "noise_each",
     "translate_each",
     "bt_filter",
     "cosine",
@@ -124,8 +125,8 @@ class NoiseSpec:
             raise ValueError(f"rate {self.rate} outside [0, 1]")
         if self.kind == "word_delete" and self.seed is None:
             raise ValueError("word_delete noise requires a seed")
-        if self.kind == "mt_adapter" and self.target_lang is None:
-            raise ValueError("mt_adapter noise requires a target_lang")
+        if self.kind == "mt_adapter" and self.target_lang not in LANGS:
+            raise ValueError(f"mt_adapter target_lang {self.target_lang!r} is not one of {LANGS}")
 
 
 def _round_half_up(x: Decimal) -> int:
@@ -146,18 +147,22 @@ def word_delete(sentence: str, rate: float, seed: int) -> str:
     return " ".join(words)
 
 
-def apply_noise(spec: NoiseSpec, sentence: str, translator: "Translator | None" = None) -> str:
-    """Apply one noise spec to one sentence, deterministically.
+def noise_each(
+    spec: NoiseSpec, sentences: Sequence[str], translator: "Translator | None" = None
+) -> list[str | AdapterError]:
+    """Each sentence under ``spec``, deterministically, in input order.
 
     word_delete derives its per-sentence seed from (spec.seed, sentence) so
     repeated sentences noise identically across calls and epochs.
+    mt_adapter goes through ``translate_each`` with ``translator`` (else the
+    spec's adapter), so a failed sentence gives its AdapterError in place.
     """
     if spec.kind == "none":
-        return sentence
+        return list(sentences)
     if spec.kind == "word_delete":
-        return word_delete(sentence, spec.rate, spec.seed + stable_hash(sentence))
+        return [word_delete(s, spec.rate, spec.seed + stable_hash(s)) for s in sentences]
     tr = translator or resolve_translator(spec.adapter)
-    return tr.translate(sentence, "EN", spec.target_lang)
+    return translate_each(tr, sentences, "EN", spec.target_lang)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +236,17 @@ class CommandTranslator:
 
     def translate(self, text: str, src_lang: str, tgt_lang: str) -> str:
         """The adapter's first output line for ``text``, stripped.  The line
-        ends at its first carriage return: ``head\\rtail`` gives ``head``,
-        and the rest is dropped without a message, as a text-mode pipe
-        would have split it into a second line."""
+        ends at its first carriage return, as a text-mode pipe would have
+        split it there: ``head\\rtail`` gives ``head``, and a warning names
+        the number of characters dropped."""
         out = self._run([text], src_lang, tgt_lang)
         if not out:
             raise AdapterError(f"adapter {self.cmd!r} produced no output")
-        return out[0].split("\r")[0].strip()  # the first line ends at any \r
+        line = out[0].split("\r")[0]
+        if len(line) < len(out[0]):
+            log.warning("adapter %r: dropped %d characters from the first carriage return on",
+                        self.cmd, len(out[0]) - len(line))
+        return line.strip()
 
     def translate_batch(
         self, texts: Sequence[str], src_lang: str, tgt_lang: str

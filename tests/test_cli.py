@@ -13,7 +13,7 @@ from amrkit.pipeline import (
     CorpusRecord,
     NoiseSpec,
     StubTranslator,
-    apply_noise,
+    noise_each,
     read_corpus_jsonl,
     write_corpus_jsonl,
 )
@@ -245,7 +245,7 @@ class TestNoiseCommand:
         out = tmp_path / "n.txt"
         run(["noise", "--in", str(src), "--kind", "delete:50", "--seed", "2", "--out", str(out)])
         spec = NoiseSpec("word_delete", rate=0.5, seed=2)
-        assert out.read_text().splitlines()[0] == apply_noise(spec, "alpha beta gamma delta")
+        assert out.read_text().splitlines() == noise_each(spec, ["alpha beta gamma delta"])
 
     def test_mt_kind_uses_stub(self, tmp_path):
         src = tmp_path / "s.txt"
@@ -307,6 +307,38 @@ class TestPipelineCommands:
         assert run(argv + ["--out", str(out1)]) == 0
         assert run(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("noise", ["delete:30", "mt"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noise_lines_are_distill_sources(self, tmp_path, monkeypatch, noise, seed):
+        monkeypatch.delenv("AMRKIT_ADAPTER_CMD", raising=False)  # the stub translates
+        teacher = self._toy_teacher(tmp_path)
+        inputs = tmp_path / "en.txt"
+        inputs.write_text("the boy wants the boy\nwants\nthe boy\nboy wants the boy now\n")
+        noised, kd = tmp_path / "n.txt", tmp_path / "kd.jsonl"
+        same = ["--seed", str(seed), "--lang", "ES"]
+        assert run(["noise", "--in", str(inputs), "--kind", noise, "--out", str(noised)] + same) == 0
+        assert run(["distill", "--teacher", str(teacher), "--inputs", str(inputs),
+                    "--noise", noise, "--out", str(kd)] + same) == 0
+        lines = noised.read_text().splitlines()
+        assert lines == [r.src for r in read_corpus_jsonl(str(kd))]
+        assert lines != inputs.read_text().splitlines()
+
+    def test_mt_unknown_language_rejected_before_the_adapter_runs(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        cmd, log = counting_adapter(tmp_path)
+        monkeypatch.setenv("AMRKIT_ADAPTER_CMD", cmd)
+        teacher = self._toy_teacher(tmp_path)
+        inputs, out = tmp_path / "en.txt", tmp_path / "out"
+        inputs.write_text("the boy\nwants\n")
+        assert run(["distill", "--teacher", str(teacher), "--inputs", str(inputs),
+                    "--noise", "mt", "--lang", "FR", "--out", str(out)]) == 2
+        assert run(["noise", "--in", str(inputs), "--kind", "mt", "--lang", "fr",
+                    "--out", str(out)]) == 2
+        assert not log.exists() and not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("target_lang" in line for line in err)
 
     def test_filter_vocab_stats(self, tmp_path, capsys):
         tr = StubTranslator(corrupt_pct=0)

@@ -12,15 +12,16 @@ from amrkit.pipeline import (
     MASK,
     NoiseSpec,
     StubTranslator,
-    apply_noise,
     augment_vocab,
     bt_filter,
     corpus_stats,
     cosine,
+    noise_each,
     read_corpus_jsonl,
     word_delete,
     write_corpus_jsonl,
 )
+from amrkit.seqmodel import stable_hash
 
 from .helpers import adapter_runs, counting_adapter
 
@@ -78,19 +79,32 @@ class TestNoiseSpec:
             NoiseSpec("word_delete", rate=0.2)  # seed mandatory
         with pytest.raises(ValueError):
             NoiseSpec("mt_adapter")  # target lang mandatory
+        with pytest.raises(ValueError):
+            NoiseSpec("mt_adapter", target_lang="FR")  # not one of LANGS
 
     def test_apply_none_is_identity(self):
-        assert apply_noise(NoiseSpec("none"), "hello world") == "hello world"
+        assert noise_each(NoiseSpec("none"), ["hello world", " a  b "]) == ["hello world", " a  b "]
 
     def test_apply_word_delete_fixed_per_sentence(self):
         spec = NoiseSpec("word_delete", rate=0.5, seed=9)
         s = "a b c d e f"
-        assert apply_noise(spec, s) == apply_noise(spec, s)
+        out = noise_each(spec, [s, "g h", s])
+        assert out[0] == out[2] == noise_each(spec, [s])[0]
+        assert out[0] == word_delete(s, 0.5, 9 + stable_hash(s)) and MASK in out[0]
 
-    def test_apply_mt_uses_translator(self):
+    def test_apply_mt_uses_translator(self, tmp_path):
         spec = NoiseSpec("mt_adapter", target_lang="IT")
-        out = apply_noise(spec, "good day", translator=StubTranslator(corrupt_pct=0))
-        assert out == "good~it day~it"
+        out = noise_each(spec, ["good day"], translator=StubTranslator(corrupt_pct=0))
+        assert out == ["good~it day~it"]
+        # a command adapter named by the spec: one process for all lines,
+        # and a failing line gives its AdapterError in place
+        cmd, log = counting_adapter(tmp_path)
+        spec = NoiseSpec("mt_adapter", target_lang="IT", adapter=cmd)
+        assert noise_each(spec, ["one", "two", "three"]) == ["one", "two", "three"]
+        assert adapter_runs(log) == 1
+        out = noise_each(spec, ["one", "bad two", "three"])
+        assert out[0] == "one" and out[2] == "three"
+        assert isinstance(out[1], AdapterError)
 
 
 class TestCommandTranslator:
@@ -143,7 +157,7 @@ class TestCommandTranslator:
             pytest.param("failing line", "bad two", AdapterError, id="failing line"),
         ],
     )
-    def test_batch_falls_back_text_by_text(self, tmp_path, case, second, expected):
+    def test_batch_falls_back_text_by_text(self, tmp_path, caplog, case, second, expected):
         from amrkit.pipeline import CommandTranslator
 
         cmd, log = counting_adapter(tmp_path, drop_second=case == "dropped line")
@@ -156,6 +170,13 @@ class TestCommandTranslator:
             assert isinstance(out[1], AdapterError)
         else:
             assert out[1] == expected == tr.translate(second, "EN", "DE")
+        # the adapter answers "carriage two\rtail": the five characters "\rtail" go
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        if case == "carriage return":
+            assert warnings == [f"adapter {cmd!r}: dropped 5 characters from the first "
+                                "carriage return on"] * 2
+        else:
+            assert warnings == []
 
     def test_env_variable_selects_command(self, monkeypatch):
         from amrkit.pipeline import ADAPTER_CMD_ENV, CommandTranslator, resolve_translator
