@@ -10,6 +10,15 @@ sequence-level KL in ``distill`` all agree about what is being ranked.
 
 Ties are broken by vocabulary order token by token, which also prefers the
 shorter sequence when one is a prefix of the other.
+
+A beam step gets the rows of all live prefixes from one
+``next_dist_batch`` call (``ToyCondModel`` builds them in one array op) and
+scores candidates with ``math.log``, which can differ from ``np.log`` in the
+last bit.  When there are more candidates than free slots it ranks them by
+``np.log`` first and takes ``math.log`` only for those within a proven
+margin of the cut, and of exact ties within a row only as many as there are
+free slots; the hypotheses are the same, bit for bit (the bound is stated in
+``beam_search``).
 """
 
 from __future__ import annotations
@@ -59,38 +68,83 @@ def beam_search(
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     eos = model.index(EOS)
+    vocab, v = model.vocab, len(model.vocab)
 
-    # entries: (log_prob, token-id tuple); ids of retired entries end in EOS.
-    # Live entries all have the same length and are kept in ids order, so the
-    # row-major order of the live × vocabulary candidates is their ids order
-    # and a stable sort on -log_prob ranks them by (-log_prob, ids).
-    live: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+    # live entries: (log_prob, token-id tuple, token tuple); retired entries:
+    # (log_prob, token-id tuple ending in EOS).  Live entries all have the
+    # same length and are kept in ids order, so the row-major order of the
+    # live × vocabulary candidates is their ids order and a stable sort on
+    # log_prob, best first, ranks them by (-log_prob, ids).
+    live: list[tuple[float, tuple[int, ...], tuple[str, ...]]] = [(0.0, (), ())]
     retired: list[tuple[float, tuple[int, ...]]] = []
     while live and len(retired) < beam_size:
-        dists = model.next_dist_batch([[model.vocab[i] for i in ids] for _, ids in live], src)
-        rows, toks = np.nonzero(dists > 0)
-        # math.log, not np.log: the two differ in the last bit on some inputs
-        logs = np.fromiter(map(math.log, dists[rows, toks].tolist()), float, len(rows))
-        scores = np.array([lp for lp, _ in live])[rows] + logs
-        keep = np.argsort(-scores, kind="stable")[: beam_size - len(retired)]
+        width = beam_size - len(retired)
+        dists = model.next_dist_batch([words for _, _, words in live], src)
+        flat, positive = dists.ravel(), dists > 0
+        near = None
+        if width < dists.size:
+            # Rank by np.log first and take math.log (the two can differ in
+            # the last bit) only where a candidate can still enter the beam.
+            # For positive finite p, |log p| < 745 and either log is within a
+            # few ulp of the true value, so they differ by under 1e-12; with
+            # the rounding of the addition, a candidate's approximate score
+            # a and exact score s differ by eps < 1e-12 + 2**-51 * (|a| + |s|).
+            # The width candidates with a >= cut (the width-th best a) have
+            # s >= cut - eps, so the exact top width and every tie with the
+            # last of them have s >= cut - eps and a >= cut - 2 * eps, inside
+            # the margin 1e-9 * (1 + |cut|).  Every dropped candidate scores
+            # below all of those, so the stable sort of the kept ones, in
+            # candidate order, picks the same entries in the same order.  A
+            # cut that is not finite (at most width candidates) keeps all.
+            approx = np.log(dists, out=np.full(dists.shape, -math.inf), where=positive)
+            base = np.array([lp for lp, _, _ in live])[:, None]
+            approx = np.add(approx, base, out=approx, where=positive).ravel()
+            cut = float(np.partition(approx, approx.size - width)[approx.size - width])
+            if math.isfinite(cut):
+                near = (approx >= cut - 1e-9 * (1 + abs(cut))).nonzero()[0]
+                if len(near) > 4 * width:
+                    # a cut on a smoothed row's floor brings in the whole
+                    # floor, whose exact ties mostly cannot be picked
+                    near = _cap_exact_ties(near, flat[near], v, width)
+        if near is None:
+            near = np.flatnonzero(positive)
+        cands = [(live[c // v], c % v, p) for c, p in zip(near.tolist(), flat[near].tolist())]
+        scores = [entry[0] + math.log(p) for entry, _, p in cands]
         children = []
-        for c, nlp in zip(keep.tolist(), scores[keep].tolist()):
-            idx = int(toks[c])
-            ids = live[rows[c]][1] + (idx,)
+        for c in sorted(range(len(cands)), key=scores.__getitem__, reverse=True)[:width]:
+            (_, ids, words), idx, _ = cands[c]
+            nlp, ids = scores[c], ids + (idx,)
             if idx == eos:
                 retired.append((nlp, ids))
             elif len(ids) == max_len:
                 retired.append((nlp, ids + (eos,)))
             else:
-                children.append((c, nlp, ids))
+                children.append((c, nlp, ids, words + (vocab[idx],)))
         children.sort()  # candidate order is ids order
-        live = [(nlp, ids) for _, nlp, ids in children]
+        live = [(nlp, ids, words) for _, nlp, ids, words in children]
 
     retired.sort(key=lambda c: (-c[0], c[1]))
     return [
         BeamHypothesis(tuple(model.vocab[i] for i in ids), lp)
         for lp, ids in retired[:beam_size]
     ]
+
+
+def _cap_exact_ties(near: np.ndarray, ps: np.ndarray, v: int, width: int) -> np.ndarray:
+    """The candidates of ``near`` (ascending flat indices into a live ×
+    vocabulary array, with probabilities ``ps``) that are among the first
+    ``width`` of their row with their probability.  The entries of one row
+    with one probability score exactly alike, so the stable sort ranks them
+    in candidate order and none after the first ``width`` can be picked."""
+    rows = near // v
+    order = np.lexsort((ps, rows))  # stable: by row, probability, then index
+    r, p, pos = rows[order], ps[order], np.arange(len(order))
+    first = np.ones(len(order), bool)
+    first[1:] = (r[1:] != r[:-1]) | (p[1:] != p[:-1])
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+    keep = np.empty(len(order), bool)
+    keep[order] = rank < width
+    return near[keep]
 
 
 def check_enumerable(model: SeqModel, max_len: int) -> None:

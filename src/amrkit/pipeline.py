@@ -238,10 +238,15 @@ class CommandTranslator:
         """The adapter's first output line for ``text``, stripped.  The line
         ends at its first carriage return, as a text-mode pipe would have
         split it there: ``head\\rtail`` gives ``head``, and a warning names
-        the number of characters dropped."""
+        the number of characters dropped.  A text holding a line break
+        reaches the adapter as several lines; only the first output line is
+        kept, and a warning names the number of output lines dropped."""
         out = self._run([text], src_lang, tgt_lang)
         if not out:
             raise AdapterError(f"adapter {self.cmd!r} produced no output")
+        if len(out) > 1:
+            log.warning("adapter %r: dropped %d output line(s) after the first",
+                        self.cmd, len(out) - 1)
         line = out[0].split("\r")[0]
         if len(line) < len(out[0]):
             log.warning("adapter %r: dropped %d characters from the first carriage return on",

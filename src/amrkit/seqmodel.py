@@ -78,7 +78,9 @@ class ToyCondModel(SeqModel):
     earlier in the prefix is never seen.  ``alpha`` smoothing mass is spread
     over every vocabulary entry except BOS.  Training only ever adds to counts,
     so repeated observation of one pair converges to that pair's empirical
-    distribution with an alpha-dependent floor.
+    distribution with an alpha-dependent floor.  The model keeps the hash of
+    the last source it was asked about, so the many queries of one decode or
+    training record hash their source once.
     """
 
     def __init__(
@@ -102,18 +104,29 @@ class ToyCondModel(SeqModel):
         v = len(self.vocab)
         self._smooth = np.full(v, alpha)
         self._smooth[self.index(BOS)] = 0.0
+        self._zero = np.zeros(v)
+        self._bos = self.index(BOS)
+        # (tuple(src), its hash) for the last source asked about: a decode or
+        # a training record asks about one source many times in a row
+        self._last_src: tuple[tuple[str, ...], int] = ((), stable_hash(""))
 
     # -- conditioning ------------------------------------------------------
 
     def bucket(self, src: Sequence[str]) -> int:
-        return stable_hash(" ".join(sorted(src))) % self.buckets
+        tokens = tuple(src)
+        if tokens != self._last_src[0]:
+            self._last_src = (tokens, stable_hash(" ".join(sorted(tokens))))
+        return self._last_src[1] % self.buckets
 
     def context(self, prefix: Sequence[str]) -> tuple[int, ...]:
         n = self.order - 1
         if n == 0:
             return ()
-        ids = tuple(self.index(t) for t in prefix[-n:])
-        return (self.index(BOS),) * (n - len(ids)) + ids
+        try:
+            ids = tuple(map(self._index.__getitem__, prefix[-n:]))
+        except KeyError as exc:
+            raise ValueError(f"token {exc.args[0]!r} not in vocabulary") from None
+        return (self._bos,) * (n - len(ids)) + ids
 
     def key(self, prefix: Sequence[str], src: Sequence[str]):
         return (self.bucket(src), self.context(prefix))
@@ -124,8 +137,13 @@ class ToyCondModel(SeqModel):
         return self._dist(self.key(prefix, src))
 
     def next_dist_batch(self, prefixes: Sequence[Sequence[str]], src: Sequence[str]) -> np.ndarray:
-        bucket = self.bucket(src)
-        return np.array([self._dist((bucket, self.context(p))) for p in prefixes])
+        # One array op for the whole step; row i is next_dist(prefixes[i])
+        # byte for byte: an unseen key's zero row plus _smooth is _smooth,
+        # and a row sum along the contiguous axis is the 1-D sum.
+        bucket, counts, zero = self.bucket(src), self.counts, self._zero
+        rows = [counts.get((bucket, self.context(p)), zero) for p in prefixes]
+        num = np.array(rows).reshape(len(rows), len(self.vocab)) + self._smooth
+        return num / num.sum(axis=1, keepdims=True)
 
     def _dist(self, key) -> np.ndarray:
         c = self.counts.get(key)
@@ -144,7 +162,7 @@ class ToyCondModel(SeqModel):
             cell = np.zeros(len(self.vocab))
             self.counts[key] = cell
         cell += dist
-        cell[self.index(BOS)] = 0.0
+        cell[self._bos] = 0.0
 
     def observe(self, src: Sequence[str], target: Sequence[str]) -> None:
         """Count one teacher-forced pass over a target ending in EOS."""

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amrkit.decode import beam_search, exact_mode
@@ -103,7 +103,7 @@ class TestToyCondModel:
         assert m.context(["zzz", "a", "b"]) == (m.index("a"), m.index("b"))
         assert np.array_equal(m.next_dist(["zzz", "a", "b"], ["s"]), m.next_dist(["a", "b"], ["s"]))
         assert m.context(["a"]) == (m.index(BOS), m.index("a"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'zzz'"):
             m.context(["a", "zzz"])
 
     def test_parameter_validation(self):
@@ -284,6 +284,22 @@ def _bits(hyps):
     return [(h.tokens, h.log_prob.hex(), h.finished) for h in hyps]
 
 
+@st.composite
+def _near_cut_cases(draw):
+    """Scripted rows over 4-10 tokens whose entries are one of a few values
+    p, the float just below p or the float just above p: candidates tie with
+    the cut or sit an ulp or two from it.  Rows are left unnormalized (beam
+    search ranks any positive entries), and every entry but BOS is positive,
+    so with beam < |vocab| - 1 each step ranks by np.log first."""
+    vocab = (BOS, EOS) + tuple(f"t{i}" for i in range(draw(st.integers(2, 8))))
+    ps = draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=3))
+    pool = [float(q) for p in ps for q in (p, np.nextafter(p, 0), np.nextafter(p, 1))]
+    max_len = draw(st.integers(1, 4))
+    rows = [[0.0 if t == BOS else draw(st.sampled_from(pool)) for t in vocab]
+            for _ in range(draw(st.integers(1, max_len + 1)))]
+    return ScriptedModel(vocab, rows), draw(st.integers(1, len(vocab) - 2)), max_len
+
+
 class TestBeamParity:
     @given(_beam_cases())
     @settings(max_examples=300, deadline=None)
@@ -304,6 +320,50 @@ class TestBeamParity:
                     reference_beam_search(m, ["s"], beam, max_len)
                 )
 
+    @given(_near_cut_cases())
+    @settings(max_examples=300, deadline=None)
+    # numpy 2.4's AVX-512 log puts 0.3119985928721877 an ulp below the next
+    # float up, where math.log gives both one value: EOS, first in candidate
+    # order, ties with "a" and must win, so a cut without margin fails here
+    @example((ScriptedModel((BOS, EOS, "a"), [[0.0, 0.3119985928721877, 0.31199859287218773]]), 1, 1))
+    def test_matches_reference_near_the_cut(self, case):
+        model, beam, max_len = case
+        assert _bits(beam_search(model, ["s"], beam, max_len)) == _bits(
+            reference_beam_search(model, ["s"], beam, max_len)
+        )
+
+    def test_matches_reference_on_dense_rows(self):
+        # alpha=1e-4 makes every row dense, as in a smoothed teacher: each
+        # step has far more candidates than free slots.  Random counts give
+        # distinct values; a few observed targets leave most entries tied at
+        # the smoothing floor.
+        vocab = (BOS, EOS) + tuple(f"t{i}" for i in range(118))
+        for seed in range(3):
+            dense = random_toy_model(seed, ["s"], vocab=vocab, alpha=1e-4)
+            tied = ToyCondModel(vocab, order=3, alpha=1e-4, buckets=1)
+            rng = np.random.RandomState(seed)
+            for _ in range(6):
+                ids = rng.randint(2, len(vocab), rng.randint(0, 10))
+                tied.observe(["s"], [vocab[i] for i in ids] + [EOS])
+            for model in (dense, tied):
+                for beam in (1, 2, 5, 8):
+                    assert _bits(beam_search(model, ["s"], beam, 12)) == _bits(
+                        reference_beam_search(model, ["s"], beam, 12)
+                    )
+
+    def test_exact_ties_are_capped_per_row(self):
+        # two live rows whose scores differ by far less than the margin, then
+        # a step with one value in every entry but BOS and EOS: all 40
+        # candidates are near the cut, each row's ties are capped on their
+        # own, and the slightly better row "b" takes every slot
+        vocab = (BOS, EOS, "a", "b") + tuple(f"t{i}" for i in range(18))
+        first = [0.0, 0.0, 0.3, 0.3 * (1 + 1e-12)] + [0.0] * 18
+        model = ScriptedModel(vocab, [first, [0.0, 0.0] + [0.05] * 20])
+        for beam in (2, 5):
+            hyps = beam_search(model, ["s"], beam, 2)
+            assert [h.tokens[0] for h in hyps] == ["b"] * beam
+            assert _bits(hyps) == _bits(reference_beam_search(model, ["s"], beam, 2))
+
     def test_next_dist_batch_equals_stacked_next_dist(self):
         prefixes = [[], ["a"], ["a", "b"], ["c", "a", "b", "b"], ["a"]]
         scripted = ScriptedModel(TOY_VOCAB, [np.full(5, 0.25) * (np.arange(5) > 0), [0, 0.5, 0, 0.5, 0]])
@@ -314,6 +374,62 @@ class TestBeamParity:
                           model.next_dist_batch(prefixes, ["s"])):
                 assert batch.shape == stacked.shape
                 assert batch.tobytes() == stacked.tobytes()
+
+
+class TestSourceHashedOnce:
+    """``ToyCondModel`` keeps the hash of the last source it saw; a query
+    must answer as a fresh model would, whatever the source was before."""
+
+    SOURCES = (["p", "q"], ["r"], ["q", "r", "p"])
+
+    def _model(self):
+        m = ToyCondModel(V4, order=2, alpha=0.1, buckets=64)
+        for src, target in zip(self.SOURCES, (["a", EOS], ["b", "b", EOS], [EOS])):
+            m.observe(src, target)
+        return m
+
+    def _assert_as_fresh(self, m, src):
+        fresh = ToyCondModel(m.vocab, m.order, m.alpha, m.buckets)
+        fresh.counts = m.counts
+        prefixes = [[], ["a"], ["b", "a"]]
+        assert m.bucket(src) == fresh.bucket(src)
+        for p in prefixes:
+            assert m.next_dist(p, src).tobytes() == fresh.next_dist(p, src).tobytes()
+        assert m.next_dist_batch(prefixes, src).tobytes() == fresh.next_dist_batch(prefixes, src).tobytes()
+
+    def test_sources_land_in_distinct_buckets(self):
+        m = self._model()
+        assert len({m.bucket(s) for s in self.SOURCES}) == len(self.SOURCES)
+
+    def test_list_mutated_between_calls(self):
+        m = self._model()
+        src = list(self.SOURCES[0])
+        self._assert_as_fresh(m, src)
+        src[:] = self.SOURCES[1]
+        self._assert_as_fresh(m, src)
+        src.extend(["q", "p"])
+        self._assert_as_fresh(m, src)
+        # training follows the mutated source too
+        trained, expected = self._model(), self._model()
+        src = list(self.SOURCES[0])
+        trained.observe(src, ["a", EOS])
+        src[:] = self.SOURCES[1]
+        trained.observe(src, ["b", EOS])
+        expected.observe(tuple(self.SOURCES[0]), ["a", EOS])
+        expected.observe(tuple(self.SOURCES[1]), ["b", EOS])
+        assert trained.counts.keys() == expected.counts.keys()
+        assert all(trained.counts[k].tobytes() == expected.counts[k].tobytes() for k in expected.counts)
+
+    def test_two_sources_alternate(self):
+        m = self._model()
+        for _ in range(3):
+            for src in self.SOURCES[:2]:
+                self._assert_as_fresh(m, src)
+
+    def test_list_and_tuple_of_the_same_tokens(self):
+        m = self._model()
+        for src in (self.SOURCES[2], tuple(self.SOURCES[2]), self.SOURCES[2]):
+            self._assert_as_fresh(m, src)
 
 
 class TestExactMode:

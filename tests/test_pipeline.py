@@ -175,6 +175,9 @@ class TestCommandTranslator:
         if case == "carriage return":
             assert warnings == [f"adapter {cmd!r}: dropped 5 characters from the first "
                                 "carriage return on"] * 2
+        elif case == "line break":
+            # "two\nlines" reaches the adapter as two lines: "lines" goes
+            assert warnings == [f"adapter {cmd!r}: dropped 1 output line(s) after the first"] * 2
         else:
             assert warnings == []
 
