@@ -7,6 +7,8 @@ forced-finished with EOS at probability one (deterministic truncation).
 Under this convention the complete sequences up to ``max_len`` form a
 proper probability space, so beam search, ``exact_mode``, and the
 sequence-level KL in ``distill`` all agree about what is being ranked.
+Both exhaustive oracles walk it through one enumerator,
+``complete_sequences``, which requires ``max_len >= 1`` as beam search does.
 
 Ties are broken by vocabulary order token by token, which also prefers the
 shorter sequence when one is a prefix of the other.
@@ -25,14 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import TooLarge
 from .seqmodel import BOS, EOS, SeqModel
 
-__all__ = ["BeamHypothesis", "beam_search", "exact_mode", "strip_sentinels"]
+__all__ = ["BeamHypothesis", "beam_search", "complete_sequences", "exact_mode", "strip_sentinels"]
 
 _ENUMERATION_BOUND = 1_000_000
 
@@ -147,48 +149,39 @@ def _cap_exact_ties(near: np.ndarray, ps: np.ndarray, v: int, width: int) -> np.
     return near[keep]
 
 
-def check_enumerable(model: SeqModel, max_len: int) -> None:
-    """Raise TooLarge when ``|vocab| ** max_len`` exceeds the one million
-    sequences an exhaustive oracle may enumerate."""
-    if len(model.vocab) ** max_len > _ENUMERATION_BOUND:
-        raise TooLarge(
-            f"|vocab|^max_len = {len(model.vocab)}^{max_len} exceeds {_ENUMERATION_BOUND}"
-        )
+def complete_sequences(
+    pairs: Sequence[tuple[SeqModel, Sequence[str]]], max_len: int
+) -> Iterator[tuple[tuple[int, ...], tuple[float, ...]]]:
+    """Every complete sequence in the support of the first ``(model,
+    source)`` pair, as vocabulary ids ending in EOS, with one log probability
+    per pair (``-inf`` where a later model gives a step zero), depth first in
+    a fixed order.  Raises ValueError unless ``max_len >= 1``, and TooLarge
+    when ``|vocab| ** max_len`` exceeds one million sequences."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    vocab = pairs[0][0].vocab
+    if len(vocab) ** max_len > _ENUMERATION_BOUND:
+        raise TooLarge(f"|vocab|^max_len = {len(vocab)}^{max_len} exceeds {_ENUMERATION_BOUND}")
+    eos = pairs[0][0].index(EOS)
+    stack: list[tuple[tuple[int, ...], tuple[float, ...]]] = [((), (0.0,) * len(pairs))]
+    while stack:
+        ids, lps = stack.pop()
+        if len(ids) == max_len:
+            yield ids + (eos,), lps
+            continue
+        prefix = [vocab[i] for i in ids]
+        dists = [model.next_dist(prefix, src) for model, src in pairs]
+        for idx in np.flatnonzero(dists[0] > 0).tolist():
+            nlps = tuple(-math.inf if d[idx] <= 0 else lp + math.log(d[idx])
+                         for lp, d in zip(lps, dists))
+            if idx == eos:
+                yield ids + (idx,), nlps
+            else:
+                stack.append((ids + (idx,), nlps))
 
 
 def exact_mode(model: SeqModel, src: Sequence[str], max_len: int) -> list[str]:
-    """The most probable complete sequence, by exhaustive enumeration.
-
-    Raises TooLarge when ``|vocab| ** max_len`` exceeds one million states.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    check_enumerable(model, max_len)
-    eos = model.index(EOS)
-    best_lp = -math.inf
-    best_ids: tuple[int, ...] | None = None
-
-    def consider(lp: float, ids: tuple[int, ...]) -> None:
-        nonlocal best_lp, best_ids
-        if lp > best_lp or (lp == best_lp and (best_ids is None or ids < best_ids)):
-            best_lp = lp
-            best_ids = ids
-
-    stack: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
-    while stack:
-        lp, ids = stack.pop()
-        if len(ids) == max_len:
-            consider(lp, ids + (eos,))
-            continue
-        prefix = [model.vocab[i] for i in ids]
-        dist = model.next_dist(prefix, src)
-        for idx in np.flatnonzero(dist > 0):
-            idx = int(idx)
-            nlp = lp + math.log(dist[idx])
-            if idx == eos:
-                consider(nlp, ids + (idx,))
-            else:
-                stack.append((nlp, ids + (idx,)))
-
-    assert best_ids is not None  # EOS carries mass or truncation forces it
-    return [model.vocab[i] for i in best_ids]
+    """The most probable complete sequence, by exhaustive enumeration; ties
+    go to the smaller id tuple.  Raises as ``complete_sequences`` does."""
+    ids, _ = min(complete_sequences([(model, src)], max_len), key=lambda e: (-e[1][0], e[0]))
+    return [model.vocab[i] for i in ids]

@@ -10,9 +10,9 @@ Three objectives are supported, all verifiable exactly at toy scale:
   teacher outputs while also accumulating the teacher's per-step
   distributions as soft counts.
 
-``exact_seq_kl`` enumerates the full (truncated) sequence space and is used
-in tests to show seq-KD training actually pulls the student's sequence
-distribution toward the teacher's.
+``exact_seq_kl`` walks the full (truncated) sequence space through
+``decode.complete_sequences`` and is used in tests to show seq-KD training
+actually pulls the student's sequence distribution toward the teacher's.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decode import beam_search, check_enumerable, strip_sentinels
+from .decode import beam_search, complete_sequences, strip_sentinels
 from .errors import AmrkitError
 from .pipeline import AdapterError, CorpusRecord, NoiseSpec, noise_each
 from .repair import repair
@@ -132,33 +132,16 @@ def exact_seq_kl(
 ) -> float:
     """KL between the two full sequence distributions by enumeration.
 
-    Sequences are the complete ones of ``decode``: EOS-terminated, content
+    Sequences are those of ``decode.complete_sequences`` (which raises for
+    ``max_len < 1`` or past one million sequences): EOS-terminated, content
     truncated at max_len with probability one, which makes both sides proper
     distributions over the same space.  Returns inf on support mismatch.
     """
-    check_enumerable(student, max_len)
-    eos = student.index(EOS)
     total = 0.0
-
-    stack: list[tuple[tuple[int, ...], float, float]] = [((), 0.0, 0.0)]
-    while stack:
-        ids, lps, lpt = stack.pop()
-        if len(ids) == max_len:
-            total += math.exp(lps) * (lps - lpt)
-            continue
-        prefix = [student.vocab[i] for i in ids]
-        ps = student.next_dist(prefix, x)
-        pt = teacher.next_dist(prefix, x_star)
-        for idx in np.flatnonzero(ps > 0):
-            idx = int(idx)
-            if pt[idx] <= 0.0:
-                return math.inf
-            nlps = lps + math.log(ps[idx])
-            nlpt = lpt + math.log(pt[idx])
-            if idx == eos:
-                total += math.exp(nlps) * (nlps - nlpt)
-            else:
-                stack.append((ids + (idx,), nlps, nlpt))
+    for _, (lps, lpt) in complete_sequences([(student, x), (teacher, x_star)], max_len):
+        if lpt == -math.inf:
+            return math.inf
+        total += math.exp(lps) * (lps - lpt)
     return max(total, 0.0)
 
 

@@ -376,19 +376,51 @@ def to_triples(g: AmrGraph) -> list[Triple]:
 
 
 # ---------------------------------------------------------------------------
-# AMR release file format: blank-line separated blocks, each a metadata
-# header plus one PENMAN expression.
+# AMR release file format: blocks separated by blank lines outside quoted
+# literals, each a metadata header plus one PENMAN expression.
+
+# The lines that open a block and start with "#": quotes there do not count.
+_HEADER_RE = re.compile(r"(?:[^\S\n]*#[^\n]*\n)*")
+
 
 def iter_amr_blocks(text: str) -> Iterator[str]:
-    block: list[str] = []
-    for line in split_lines(text):
-        if line.strip():
-            block.append(line)
-        elif block:
-            yield "\n".join(block)
-            block = []
-    if block:
-        yield "\n".join(block)
+    r"""The blocks of ``text``, each as written, without the ``\n`` or
+    ``\r\n`` that ends its last line.  A blank line ends a block unless it
+    lies inside a quoted literal of the block's body; quotes in the ``#``
+    lines that open a block do not count.  Literals are found as
+    ``parse_penman`` reads them, so one holding a blank line or ``\r\n``
+    comes back whole."""
+    start = end = None  # the current block's span
+    scan = 0  # the block's quotes before this offset are read
+    closing = True  # False after a quote that no literal closes
+    pos = 0
+    for line in text.split("\n"):
+        stop = pos + len(line)
+        if stop < scan or line.strip():  # inside a literal, or not blank
+            if start is None:
+                start, scan = pos, _HEADER_RE.match(text, pos).end()
+            end = stop
+        elif start is not None:
+            # The blank line ends the block unless a literal runs past it.
+            # Quotes are read only here, so a line costs a split and a strip.
+            runs_on = False
+            quote = text.find('"', scan, end) if closing else -1
+            while quote >= 0:
+                literal = QUOTED_RE.match(text, quote)
+                if literal is None:
+                    # parse_penman rejects this block, and no later quote
+                    # can close either: each would rescan the rest
+                    closing = False
+                    break
+                scan = literal.end()
+                runs_on = scan > end
+                quote = text.find('"', scan, end)
+            if not runs_on:
+                yield text[start : end - text.endswith("\r", start, end)]
+                start = None
+        pos = stop + 1
+    if start is not None:
+        yield text[start : end - text.endswith("\r", start, end)]
 
 
 def read_amr_text(text: str) -> list[AmrGraph]:
@@ -396,6 +428,8 @@ def read_amr_text(text: str) -> list[AmrGraph]:
 
 
 def read_amr_file(path: str) -> list[AmrGraph]:
+    r"""Read with universal newlines: every ``\r\n`` of the file, a
+    literal's too, reads as ``\n``."""
     with open(path, encoding="utf-8") as fh:
         return read_amr_text(fh.read())
 

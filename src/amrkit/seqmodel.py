@@ -7,7 +7,9 @@ passed to ``next_dist`` never include BOS (models pad internally); returned
 vectors are nonnegative, sum to one within 1e-9, and depend only on
 (prefix, source).  Shipped models assign probability exactly zero to BOS so
 decoders never have to special-case it.  ``next_dist_batch`` answers several
-prefixes of one source at once, row for row equal to ``next_dist``.
+prefixes of one source at once, row for row equal to ``next_dist``;
+``ToyCondModel.next_dist`` is row 0 of its own ``next_dist_batch``, so there
+the two agree by construction.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ class ToyCondModel(SeqModel):
     so repeated observation of one pair converges to that pair's empirical
     distribution with an alpha-dependent floor.  The model keeps the hash of
     the last source it was asked about, so the many queries of one decode or
-    training record hash their source once.
+    training record hash their source once.  ``alpha`` is read-only: the
+    smoothing row is built from it once, and ``save`` writes it.
     """
 
     def __init__(
@@ -98,7 +101,7 @@ class ToyCondModel(SeqModel):
         if type(buckets) is not int or buckets < 1:
             raise ValueError("buckets must be an integer >= 1")
         self.order = order
-        self.alpha = alpha
+        self._alpha = alpha
         self.buckets = buckets
         self.counts: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         v = len(self.vocab)
@@ -109,6 +112,10 @@ class ToyCondModel(SeqModel):
         # (tuple(src), its hash) for the last source asked about: a decode or
         # a training record asks about one source many times in a row
         self._last_src: tuple[tuple[str, ...], int] = ((), stable_hash(""))
+
+    @property
+    def alpha(self) -> float:
+        return self._alpha
 
     # -- conditioning ------------------------------------------------------
 
@@ -134,35 +141,28 @@ class ToyCondModel(SeqModel):
     # -- queries and updates ------------------------------------------------
 
     def next_dist(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
-        return self._dist(self.key(prefix, src))
+        return self.next_dist_batch((prefix,), src)[0]
 
     def next_dist_batch(self, prefixes: Sequence[Sequence[str]], src: Sequence[str]) -> np.ndarray:
-        # One array op for the whole step; row i is next_dist(prefixes[i])
-        # byte for byte: an unseen key's zero row plus _smooth is _smooth,
-        # and a row sum along the contiguous axis is the 1-D sum.
         bucket, counts, zero = self.bucket(src), self.counts, self._zero
         rows = [counts.get((bucket, self.context(p)), zero) for p in prefixes]
         num = np.array(rows).reshape(len(rows), len(self.vocab)) + self._smooth
         return num / num.sum(axis=1, keepdims=True)
 
-    def _dist(self, key) -> np.ndarray:
-        c = self.counts.get(key)
-        num = self._smooth if c is None else c + self._smooth
-        return num / num.sum()
-
-    def add_count(self, prefix: Sequence[str], src: Sequence[str], token: str, weight: float = 1.0) -> None:
-        self.add_dist_counts(prefix, src, _one_hot(len(self.vocab), self.index(token), weight))
+    def _row(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
+        """The count row of (prefix, source), created empty if missing."""
+        key = self.key(prefix, src)
+        row = self.counts.get(key)
+        if row is None:
+            row = self.counts[key] = np.zeros(len(self.vocab))
+        return row
 
     def add_dist_counts(self, prefix: Sequence[str], src: Sequence[str], dist: np.ndarray) -> None:
         """Add fractional counts (e.g. a teacher distribution). Any BOS mass
         is discarded: BOS is never a legal continuation."""
-        key = self.key(prefix, src)
-        cell = self.counts.get(key)
-        if cell is None:
-            cell = np.zeros(len(self.vocab))
-            self.counts[key] = cell
-        cell += dist
-        cell[self._bos] = 0.0
+        row = self._row(prefix, src)
+        row += dist
+        row[self._bos] = 0.0
 
     def observe(self, src: Sequence[str], target: Sequence[str]) -> None:
         """Count one teacher-forced pass over a target ending in EOS."""
@@ -171,7 +171,8 @@ class ToyCondModel(SeqModel):
         for t, token in enumerate(target):
             if token == BOS:
                 raise ValueError("target sequence may not contain BOS")
-            self.add_count(target[:t], src, token)
+            idx = self.index(token)
+            self._row(target[:t], src)[idx] += 1.0
 
     # -- persistence ---------------------------------------------------------
 
@@ -227,8 +228,3 @@ class ToyCondModel(SeqModel):
              f"counts are not numbers in [0, {_MAX_COUNT:g})")
         return model
 
-
-def _one_hot(size: int, index: int, weight: float) -> np.ndarray:
-    vec = np.zeros(size)
-    vec[index] = weight
-    return vec

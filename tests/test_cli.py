@@ -194,6 +194,18 @@ class TestRoundTripCommands:
         (line,) = out.read_text(encoding="utf-8").split("\n")[:-1]
         assert json.loads(line)["metadata"] == {"id": "a\x85b"}
 
+    @pytest.mark.parametrize("inner, newline", [("x\n\ny", "\n"), ("x\n  \ny", "\n"), ("x\n\ny", "\r\n")])
+    def test_blank_line_inside_literal_parses(self, tmp_path, inner, newline):
+        amr = tmp_path / "g.amr"
+        text = f'# ::snt say "hi\n(a / b :name "{inner}")\n\n(c / d)\n'
+        amr.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        out = tmp_path / "parsed.jsonl"
+        assert run(["parse", "--in", str(amr), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n")[:-1]]
+        # files are read with universal newlines, so a literal's \r\n reads as \n
+        assert [row["penman"] for row in rows] == [f'(a / b :name "{inner}")', "(c / d)"]
+        assert rows[0]["metadata"] == {"snt": 'say "hi'}
+
     def test_parse_serialize(self, amr_file, tmp_path):
         parsed = tmp_path / "parsed.jsonl"
         back = tmp_path / "back.amr"

@@ -12,6 +12,7 @@ from amrkit.graph import (
     Node,
     _tokenize_penman,
     graphs_to_text,
+    iter_amr_blocks,
     parse_penman,
     read_amr_text,
     serialize_penman,
@@ -242,3 +243,25 @@ class TestRoundTrip:
         assert len(back) == 5
         assert [g.metadata["id"] for g in back] == [f"r{i}" for i in range(5)]
         assert [canonical(a) for a in back] == [canonical(b) for b in gs]
+
+    @pytest.mark.parametrize("inner", ["x\n\ny", "x\n  \ny", "x\r\ny", "x\r\n\r\ny"])
+    def test_file_format_keeps_line_breaks_inside_literals(self, inner):
+        g = parse_penman(f'(a / b :name "{inner}" :mod "p q")')
+        g.metadata["snt"] = 'a "quote in metadata does not open a literal'
+        gs = [g, parse_penman(WANT_BOY), g]
+        text = graphs_to_text(gs)
+        # each block comes back as written
+        assert list(iter_amr_blocks(text)) == [serialize_penman(x) for x in gs]
+        back = read_amr_text(text)
+        assert [canonical(a) for a in back] == [canonical(b) for b in gs]
+        assert [n.concept for n in back[2].nodes if n.constant] == [f'"{inner}"', '"p q"']
+
+    def test_blocks_split_at_blank_lines_outside_literals(self):
+        assert list(iter_amr_blocks("\n  \n(a / b)\r\n \r\n\r\n# ::id 2\r\n(c / d)\r\n")) == [
+            "(a / b)",
+            "# ::id 2\r\n(c / d)",
+        ]
+        # a quote that nothing closes opens no literal: the block around it
+        # fails to parse, the next one still reads
+        text = '(a / b :name "x)\n\n(c / d)\n'
+        assert list(iter_amr_blocks(text)) == ['(a / b :name "x)', "(c / d)"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amrkit.decode import beam_search, exact_mode
+from amrkit.decode import beam_search, complete_sequences, exact_mode
 from amrkit.distill import (
     KdBatch,
     KdRecord,
@@ -80,6 +80,20 @@ class TestToyCondModel:
         assert back.vocab == m.vocab and back.alpha == m.alpha and back.order == m.order
         for prefix in ([], ["a"]):
             assert np.allclose(back.next_dist(prefix, ["s"]), m.next_dist(prefix, ["s"]))
+
+    def test_alpha_is_read_only(self, tmp_path):
+        # the smoothing row is built from alpha once; a settable alpha would
+        # let the live model and its saved file disagree
+        m = ToyCondModel((BOS, EOS, "a"), alpha=0.25)
+        m.observe(["s"], ["a", EOS])
+        with pytest.raises(AttributeError):
+            m.alpha = 0.5
+        assert m.alpha == 0.25
+        path = str(tmp_path / "model.json")
+        m.save(path)
+        back = ToyCondModel.load(path)
+        for prefix in ([], ["a"], ["a", "a"]):
+            assert back.next_dist(prefix, ["s"]).tobytes() == m.next_dist(prefix, ["s"]).tobytes()
 
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -476,13 +490,46 @@ class TestExactSeqKl:
     def test_support_mismatch_is_infinite(self):
         vocab = (BOS, EOS, "a")
         s = ScriptedModel(vocab, [np.array([0.0, 0.5, 0.5])])
-        t = ScriptedModel(vocab, [np.array([0.0, 1.0, 0.0])])
-        assert exact_seq_kl(s, t, ["x"], ["y"], 2) == math.inf
+        teachers = (
+            [[0.0, 1.0, 0.0]],  # zero on "a" at the first step
+            [[0.0, 0.5, 0.5], [0.0, 1.0, 0.0]],  # zero on "a" at step 2 only
+            [[0.0, 0.0, 1.0]],  # zero on EOS only
+        )
+        for rows in teachers:
+            t = ScriptedModel(vocab, [np.array(r) for r in rows])
+            assert exact_seq_kl(s, t, ["x"], ["y"], 2) == math.inf
 
     def test_too_large(self):
         m = random_toy_model(0, ["s"])
         with pytest.raises(TooLarge):
             exact_seq_kl(m, m, ["s"], ["s"], 12)
+
+    def test_max_len_below_one_is_rejected(self):
+        m = random_toy_model(0, ["s"])
+        for max_len in (0, -1):
+            with pytest.raises(ValueError, match="max_len"):
+                exact_seq_kl(m, m, ["s"], ["s"], max_len)
+            with pytest.raises(ValueError, match="max_len"):
+                exact_mode(m, ["s"], max_len)
+
+
+class TestCompleteSequences:
+    def test_each_model_sums_to_one(self):
+        # the truncated sequence space is a proper probability space: under
+        # each model of a pair, the complete sequences carry all the mass
+        vocab = (BOS, EOS, "a", "b", "c")
+        for seed in range(12):
+            order = 1 + seed % 3
+            first = random_toy_model(seed, ["s"], vocab=vocab, order=order)
+            second = random_toy_model(seed + 100, ["t"], vocab=vocab, order=order, alpha=1e-3)
+            for max_len in (1, 2, 3, 4):
+                seqs = list(complete_sequences([(first, ["s"]), (second, ["t"])], max_len))
+                # every content string of length 0..max_len, each ending in EOS
+                assert len(seqs) == sum(3 ** k for k in range(max_len + 1))
+                assert all(ids[-1] == first.index(EOS) for ids, _ in seqs)
+                for k in range(2):
+                    total = math.fsum(math.exp(lps[k]) for _, lps in seqs)
+                    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSeqKdBuild:
