@@ -19,7 +19,6 @@ from .errors import AmrkitError
 from .graph import (
     AmrGraph,
     graphs_to_text,
-    iter_amr_blocks,
     parse_penman,
     read_amr_file,
     serialize_penman,
@@ -54,11 +53,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -68,7 +62,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _read_lines(path: str) -> list[str]:
-    return split_lines(_read_text(path))
+    with open(path, encoding="utf-8") as fh:
+        return split_lines(fh.read())
 
 
 def _parse_noise(spec: str, seed: int, lang: str | None) -> NoiseSpec:
@@ -87,8 +82,7 @@ def _parse_noise(spec: str, seed: int, lang: str | None) -> NoiseSpec:
 
 def _cmd_parse(args) -> int:
     lines = []
-    for block in iter_amr_blocks(_read_text(args.infile)):
-        g = parse_penman(block)
+    for g in read_amr_file(args.infile):
         body = serialize_penman(AmrGraph(g.nodes, g.edges, g.root))
         lines.append(json.dumps({"metadata": g.metadata, "penman": body}, ensure_ascii=False))
     _write_text(args.out, "\n".join(lines) + "\n")

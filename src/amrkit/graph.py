@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import AmrkitError
 
@@ -142,10 +142,19 @@ class AmrGraph:
                 if e.tgt not in seen:
                     seen.add(e.tgt)
                     stack.append(e.tgt)
-        if len(seen) != len(self.nodes):
-            missing = sorted(set(self._by_id) - seen)
-            raise ValueError(f"nodes unreachable from root: {missing}")
+        self.check_reached(seen)
         return self
+
+    def check_reached(self, expanded: Collection[str]) -> None:
+        """The reachability rule, after a walk from the root that expanded
+        the nodes ``expanded`` and so every variable they point at: a node
+        is reached if the walk expanded it or it is a constant an expanded
+        variable points at.  Raises ValueError naming the rest."""
+        reached = {e.tgt for e in self.edges if e.src in expanded}
+        reached.update(expanded)
+        if len(reached) != len(self._by_id):
+            missing = sorted(self._by_id.keys() - reached)
+            raise ValueError(f"nodes unreachable from root: {missing}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +319,7 @@ def serialize_penman(g: AmrGraph) -> str:
 
     A variable named like a bare constant of the graph would read back as a
     mention of that variable, so it is written with ``_`` appended until
-    its name is free."""
+    its name is free.  Unreachable nodes raise ValueError."""
     visited: set[str] = set()
     parts: list[str] = []
     stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
@@ -347,14 +356,9 @@ def serialize_penman(g: AmrGraph) -> str:
             parts.append(")")
             stack.pop()
 
-    body = "".join(parts)
-    # constant targets never enter `visited`
-    reachable = visited | {e.tgt for e in g.edges if g.node(e.tgt).constant}
-    if len(reachable) != len(g.nodes):
-        raise ValueError("graph has nodes unreachable from the root")
-
+    g.check_reached(visited)
     header = "".join(f"# ::{k} {v}\n" for k, v in g.metadata.items())
-    return header + body
+    return header + "".join(parts)
 
 
 def to_triples(g: AmrGraph) -> list[Triple]:

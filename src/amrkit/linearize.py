@@ -74,7 +74,8 @@ def classify(tok: str) -> str:
 def linearize(g: AmrGraph) -> list[str]:
     """Depth-first linearization from the root, visiting each node's children
     in edge-list order.  The first visit of a node expands it; later visits
-    emit its variable token only.  Constants are emitted inline."""
+    emit its variable token only.  Constants are emitted inline.
+    Unreachable nodes raise ValueError (``AmrGraph.check_reached``)."""
     index: dict[str, int] = {}
     tokens: list[str] = []
     stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
@@ -99,6 +100,7 @@ def linearize(g: AmrGraph) -> list[str]:
         else:
             tokens.append(")")
             stack.pop()
+    g.check_reached(index)
     return tokens
 
 
@@ -108,10 +110,10 @@ def delinearize(tokens: list[str]) -> AmrGraph:
 
     The tokens are read as groups ``( <Vk> concept (relation value)* )``,
     each value a group, a variable token defined before it or a literal;
-    the graph must pass ``AmrGraph.check`` (the atom rule); and it is
-    accepted only when ``linearize`` gives the tokens back, so the round
-    trip holds by construction.  Anything else raises InvalidLinearization
-    at the first token at fault.
+    the k-th group read (from 0) opens with ``var_token(k)``; and the graph
+    must pass ``AmrGraph.check`` (the atom rule).  The read copies every
+    other token as it stands, so ``linearize`` gives an accepted line back.
+    Anything else raises InvalidLinearization at the first token at fault.
     """
     tokens = list(tokens)
     n = len(tokens)
@@ -139,6 +141,8 @@ def delinearize(tokens: list[str]) -> AmrGraph:
         if kinds[i] == OPEN:
             if kinds[i + 1] != VAR:
                 raise fault(i + 1, "'(' must be followed by a variable token")
+            if tokens[i + 1] != var_token(defined):
+                raise fault(i + 1, "variable tokens must read <V0>, <V1>, ... in first-visit order")
             if kinds[i + 2] != LIT:
                 raise fault(i + 2, "variable definition missing its concept")
             if tokens[i + 2].startswith('"'):
@@ -175,11 +179,6 @@ def delinearize(tokens: list[str]) -> AmrGraph:
         graph.check()
     except ValueError as exc:
         raise InvalidLinearization(str(exc)) from exc
-    back = linearize(graph)
-    if back != tokens:
-        # the read copies every other token, so only a variable token can differ
-        at = next((j for j, (a, b) in enumerate(zip(back, tokens)) if a != b), min(n, len(back)))
-        raise fault(at, "variable tokens must read <V0>, <V1>, ... in first-visit order")
     return graph
 
 

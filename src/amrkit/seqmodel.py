@@ -221,10 +221,12 @@ class ToyCondModel(SeqModel):
         try:
             keys = [(entry["bucket"], tuple(entry["context"])) for entry in counts]
             table = np.array([entry["counts"] for entry in counts], dtype=float)
-            model.counts.update(zip(keys, table.reshape(len(keys), len(vocab))))
+            table = table.reshape(len(keys), len(vocab))
+            model.counts.update(zip(keys, table))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path}: malformed counts table ({exc!r})") from exc
         need(not table.size or 0 <= table.min() <= table.max() < _MAX_COUNT,
              f"counts are not numbers in [0, {_MAX_COUNT:g})")
+        need(not table[:, model._bos].any(), f"counts give {BOS!r} a nonzero entry")
         return model
 

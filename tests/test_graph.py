@@ -183,10 +183,12 @@ class TestSerialize:
         assert text == "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
         assert canonical(parse_penman(text)) == canonical(g)
 
-    def test_unreachable_node_rejected(self):
+    @pytest.mark.parametrize("walk", [linearize, serialize_penman, AmrGraph.check],
+                             ids=["linearize", "serialize_penman", "check"])
+    def test_unreachable_node_rejected(self, walk):
         g = AmrGraph((Node("a", "x"), Node("b", "y")), (), "a")
-        with pytest.raises(ValueError):
-            serialize_penman(g)
+        with pytest.raises(ValueError, match=r"^nodes unreachable from root: \['b'\]$"):
+            walk(g)
 
 
 class TestTriples:

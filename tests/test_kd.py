@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +101,18 @@ class TestToyCondModel:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            ToyCondModel.load(str(path))
+
+    def test_load_rejects_nonzero_bos_counts(self, tmp_path):
+        # such a table would give BOS mass, and beam search would decode it
+        m = ToyCondModel((BOS, EOS, "a"))
+        m.observe(["s"], ["a", EOS])
+        path = tmp_path / "model.json"
+        m.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["counts"][0]["counts"][m.index(BOS)] = 50.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: counts give '<s>' a nonzero"):
             ToyCondModel.load(str(path))
 
     def test_vocab_needs_sentinels(self):

@@ -71,6 +71,7 @@ INVALID_LINES = [
     ("( <V0> a <V0> )", 3),  # value without a relation
     ("( <V00> a )", 1),  # non-canonical spelling of <V0>
     ("( <V0> a :ARG0 <V00> )", 4),
+    ("( <V0> a :ARG0 ( <V2> b ) <V1> )", 5),  # skipped index, then a value without a relation
 ]
 
 
