@@ -151,6 +151,7 @@ def _cmd_smatch(args) -> int:
                     "matched": r.matched,
                     "pred_triples": r.n_pred_triples,
                     "gold_triples": r.n_gold_triples,
+                    "upper_matched": r.upper_matched,
                 }
             )
             for i, r in enumerate(report.per_record)
@@ -163,6 +164,7 @@ def _cmd_smatch(args) -> int:
         "n_records": report.n_records,
         "seed": args.seed,
         "backend": _match.BACKEND,
+        "upper_matched": report.upper_matched,
     }
     if args.format == "json":
         print(json.dumps(payload))

@@ -121,8 +121,7 @@ class AmrGraph:
         Raises ValueError on the first violation; used defensively after
         construction from untrusted sources (parsers, generators).
         """
-        if len(self._by_id) != len(self.nodes):
-            raise ValueError("duplicate node identifiers")
+        self._check_unique_ids()
         if self.root not in self._by_id or self.node(self.root).constant:
             raise ValueError("root must name a variable-bearing node")
         for n in self.nodes:
@@ -149,12 +148,18 @@ class AmrGraph:
         """The reachability rule, after a walk from the root that expanded
         the nodes ``expanded`` and so every variable they point at: a node
         is reached if the walk expanded it or it is a constant an expanded
-        variable points at.  Raises ValueError naming the rest."""
+        variable points at.  Raises ValueError naming the rest, or on
+        duplicate node identifiers, which a walk keyed by id cannot see."""
+        self._check_unique_ids()
         reached = {e.tgt for e in self.edges if e.src in expanded}
         reached.update(expanded)
         if len(reached) != len(self._by_id):
             missing = sorted(self._by_id.keys() - reached)
             raise ValueError(f"nodes unreachable from root: {missing}")
+
+    def _check_unique_ids(self) -> None:
+        if len(self._by_id) != len(self.nodes):
+            raise ValueError("duplicate node identifiers")
 
 
 # ---------------------------------------------------------------------------

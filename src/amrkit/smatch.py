@@ -12,13 +12,15 @@ are compared with surrounding quotes stripped; concepts compare exactly.
 with no size bound (it needs scipy); it is the testing oracle.  Both score
 their mapping with the NumPy kernels of ``_match``, which count the exact
 multiset overlap of triples, so the climber can never exceed the oracle.
-Each result also carries ``upper_matched``, a bound on ``matched`` from
-triple counts alone; the climber stops its restarts once it meets it.
+Each result also carries ``upper_matched``, a bound on ``matched`` built
+with numpy alone from triple counts per class and per variable pair (see
+``_Problem``); the climber stops its restarts once it meets it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -82,15 +84,38 @@ def _norm_const(value: str) -> str:
     return value
 
 
+def _buckets(rel: dict[tuple[int, int, int], int]) -> tuple[np.ndarray, ...]:
+    """Relation counts keyed (src, tgt, label) as four arrays: src, tgt,
+    label and count."""
+    keys = np.fromiter(chain.from_iterable(rel), np.int64, 3 * len(rel)).reshape(-1, 3)
+    return (*keys.T.copy(), np.fromiter(rel.values(), np.int64, len(rel)))
+
+
+def _pair_upper(unary: np.ndarray, p_deg: np.ndarray, g_deg: np.ndarray) -> int:
+    """The pair bound of ``_Problem``, from ``unary`` and each side's
+    ``deg[3 * label + block, variable]``; 0 when a side has no variables."""
+    w2 = 2 * unary + np.minimum(p_deg[:, :, None], g_deg[:, None]).sum(0)
+    return int(min(w2.max(1, initial=0).sum(), w2.max(0, initial=0).sum())) // 2
+
+
 class _Problem:
     """Array encoding of one graph pair for the kernels in ``_match``, and
-    ``upper``, a bound on ``matched`` under any injective mapping.
+    ``upper``, a bound on ``matched`` under any injective mapping: the
+    smaller of two bounds, both computed with numpy alone.
 
-    Each matched pred triple pairs with a distinct gold triple of its class,
-    so ``upper`` sums, per concept, per attribute key (label and constant,
-    TOP included) and per relation label split into self-loops and other
-    edges, the smaller of the two sides' counts.  A self-loop can match only
-    a self-loop, as the mapping is injective.
+    The class bound: each matched pred triple pairs with a distinct gold
+    triple of its class, so it sums, per concept, per attribute key (label
+    and constant, TOP included) and per relation label split into
+    self-loops and other edges, the smaller of the two sides' counts.  A
+    self-loop can match only a self-loop, as the mapping is injective.
+
+    The pair bound: sending pred variable i to gold variable j matches at
+    most ``w[i, j]`` triples there, where ``2 * w`` is twice ``unary`` plus,
+    per relation label, twice the smaller self-loop count, the smaller
+    out-degree and the smaller in-degree over other edges.  Each matched
+    edge counts half at its source pair and half at its target pair, and
+    ``w >= 0``, so an injective mapping scores at most the sum of the row
+    maxima of ``w``, and at most the sum of its column maxima.
     """
 
     def __init__(self, pred: AmrGraph, gold: AmrGraph):
@@ -112,14 +137,17 @@ class _Problem:
         labels: dict[str, int] = {}
         p_rel: dict[tuple[int, int, int], int] = {}
         g_rel: dict[tuple[int, int, int], int] = {}
-        # (label, is self-loop) -> relation triples of that class
-        p_rcls: dict[tuple[int, bool], int] = {}
-        g_rcls: dict[tuple[int, bool], int] = {}
+        # the cell (label, block, variable) of each end of each relation
+        # triple, as one index: block 0 holds sources and block 1 targets of
+        # edges that are not self-loops, block 2 both ends of a self-loop
+        p_ends: list[int] = []
+        g_ends: list[int] = []
 
-        for triples, idx, conc, attr, rel, rcls in (
-            (pt, pidx, self.pred_concepts, p_attr, p_rel, p_rcls),
-            (gt, gidx, self.gold_concepts, g_attr, g_rel, g_rcls),
+        for triples, idx, conc, attr, rel, ends in (
+            (pt, pidx, self.pred_concepts, p_attr, p_rel, p_ends),
+            (gt, gidx, self.gold_concepts, g_attr, g_rel, g_ends),
         ):
+            n = len(idx)
             for t in triples:
                 if t.kind == "instance":
                     conc[idx[t.src]] = concepts.setdefault(t.tgt, len(concepts))
@@ -127,10 +155,12 @@ class _Problem:
                     attr.setdefault((t.label.casefold(), _norm_const(t.tgt)), []).append(idx[t.src])
                 else:
                     lab = labels.setdefault(t.label.casefold(), len(labels))
-                    key = (idx[t.src], idx[t.tgt], lab)
-                    rel[key] = rel.get(key, 0) + 1
-                    cls = (lab, t.src == t.tgt)
-                    rcls[cls] = rcls.get(cls, 0) + 1
+                    i, k = idx[t.src], idx[t.tgt]
+                    rel[i, k, lab] = rel.get((i, k, lab), 0) + 1
+                    if i == k:
+                        ends += ((3 * lab + 2) * n + i,) * 2
+                    else:
+                        ends += ((3 * lab) * n + i, (3 * lab + 1) * n + k)
 
         self.unary = (self.pred_concepts[:, None] == self.gold_concepts).astype(np.int64)
         shared = p_attr.keys() & g_attr.keys()
@@ -139,19 +169,28 @@ class _Problem:
             gc = np.bincount(g_attr[key], minlength=n2)
             self.unary += np.minimum(pc[:, None], gc)
 
+        n_lab = max(len(labels), 1)
+        p_buckets, g_buckets = _buckets(p_rel), _buckets(g_rel)
+        self.rsrc, self.rtgt, self.rlab, self.rcnt = p_buckets
+        self.grel = np.zeros((n2, n2, n_lab), np.int64)
+        self.grel[g_buckets[:3]] = g_buckets[3]
+        # deg[3 * label + block, variable]: the triple ends in each cell
+        p_deg, g_deg = (
+            np.bincount(np.array(ends, np.int64), minlength=3 * n_lab * n).reshape(3 * n_lab, n)
+            for ends, n in ((p_ends, n1), (g_ends, n2))
+        )
+
+        # Summed over variables, a label's in-degrees equal its out-degrees
+        # and its self-loops count twice, so half the sum of the row-wise
+        # minima is the relation part of the class bound.
         n_conc = len(concepts)
-        self.upper = (
+        class_upper = (
             int(np.minimum(np.bincount(self.pred_concepts, minlength=n_conc),
                            np.bincount(self.gold_concepts, minlength=n_conc)).sum())
             + sum(min(len(p_attr[key]), len(g_attr[key])) for key in shared)
-            + sum(min(c, g_rcls.get(cls, 0)) for cls, c in p_rcls.items())
+            + int(np.minimum(p_deg.sum(1), g_deg.sum(1)).sum()) // 2
         )
-
-        buckets = np.array([(*key, c) for key, c in p_rel.items()], np.int64).reshape(-1, 4)
-        self.rsrc, self.rtgt, self.rlab, self.rcnt = buckets.T.copy()
-        self.grel = np.zeros((n2, n2, max(len(labels), 1)), np.int64)
-        for (j, l, lab), c in g_rel.items():
-            self.grel[j, l, lab] = c
+        self.upper = min(class_upper, _pair_upper(self.unary, p_deg, g_deg))
 
     def kernel_args(self):
         return self.unary, self.rsrc, self.rtgt, self.rlab, self.rcnt, self.grel

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import shlex
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -258,6 +259,63 @@ def reference_unary(pred: AmrGraph, gold: AmrGraph) -> np.ndarray:
                 u += min(c, ga.get(g, {}).get(key, 0))
             unary[i, j] = u
     return unary
+
+
+def reference_class_bound(pred: AmrGraph, gold: AmrGraph) -> int:
+    """Loop form of the class bound of ``_Problem.upper``: per triple class,
+    the smaller of the two graphs' counts, summed.  The classes are each
+    concept, each attribute key (case-folded label, constant without
+    quotes; TOP included), and each case-folded relation label split into
+    self-loops and other edges."""
+    def classes(g):
+        counts = Counter()
+        for t in to_triples(g):
+            if t.kind == "instance":
+                counts["instance", t.tgt] += 1
+            elif t.kind == "attribute":
+                counts["attribute", t.label.casefold(), _norm_const(t.tgt)] += 1
+            else:
+                counts["relation", t.label.casefold(), t.src == t.tgt] += 1
+        return counts
+
+    pc, gc = classes(pred), classes(gold)
+    return sum(min(c, gc[key]) for key, c in pc.items())
+
+
+def reference_pair_bound(pred: AmrGraph, gold: AmrGraph) -> int:
+    """Loop form of the pair bound of ``_Problem.upper``.  For pred variable
+    i and gold variable j, ``2 * w[i, j]`` is twice ``reference_unary``,
+    plus per label twice the smaller self-loop count and the smaller
+    out-degree and in-degree over other edges.  The bound is half the
+    smaller of the sum of row maxima and the sum of column maxima, rounded
+    down."""
+    def degrees(g):
+        loops, outs, ins = Counter(), Counter(), Counter()
+        for t in to_triples(g):
+            if t.kind == "relation":
+                lab = t.label.casefold()
+                if t.src == t.tgt:
+                    loops[t.src, lab] += 1
+                else:
+                    outs[t.src, lab] += 1
+                    ins[t.tgt, lab] += 1
+        return [n.id for n in g.var_nodes()], loops, outs, ins
+
+    unary = reference_unary(pred, gold)
+    p_vars, p_loops, p_outs, p_ins = degrees(pred)
+    g_vars, g_loops, g_outs, g_ins = degrees(gold)
+    labels = {t.label.casefold() for g in (pred, gold) for t in to_triples(g) if t.kind == "relation"}
+    w2 = [[0] * len(g_vars) for _ in p_vars]
+    for i, p in enumerate(p_vars):
+        for j, g in enumerate(g_vars):
+            w2[i][j] = 2 * int(unary[i, j])
+            for lab in labels:
+                w2[i][j] += 2 * min(p_loops[p, lab], g_loops[g, lab])
+                w2[i][j] += min(p_outs[p, lab], g_outs[g, lab])
+                w2[i][j] += min(p_ins[p, lab], g_ins[g, lab])
+    rows = sum(max(row, default=0) for row in w2)
+    cols = sum(max((row[j] for row in w2), default=0) for j in range(len(g_vars)))
+    return min(rows, cols) // 2
 
 
 def reference_smatch_hill_climb(

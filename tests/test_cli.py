@@ -34,6 +34,15 @@ def amr_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def other_amr_file(tmp_path):
+    """Four graphs unrelated to ``amr_file``'s, to score against them."""
+    path = tmp_path / "other.amr"
+    rng = np.random.RandomState(18)
+    write_amr_file(str(path), [random_graph(rng, 5) for _ in range(4)])
+    return path
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -134,12 +143,40 @@ class TestSmatchCommand:
         out = capsys.readouterr().out
         assert out.startswith("# seed: 7")
 
-    def test_per_record_output(self, amr_file, tmp_path, capsys):
+    def test_per_record_output(self, amr_file, other_amr_file, tmp_path, capsys):
         per = tmp_path / "per.jsonl"
         run(["smatch", "--pred", str(amr_file), "--gold", str(amr_file), "--seed", "0",
              "--per-record", str(per)])
         lines = [json.loads(l) for l in per.read_text().splitlines()]
         assert len(lines) == 4 and all(l["f1"] == 1.0 for l in lines)
+        # a score of 1.0 leaves the bound no slack
+        assert all(l["upper_matched"] == l["matched"] for l in lines)
+
+        run(["smatch", "--pred", str(other_amr_file), "--gold", str(amr_file), "--seed", "0",
+             "--per-record", str(per)])
+        lib = corpus_smatch(str(other_amr_file), str(amr_file), seed=0)
+        for i, (line, r) in enumerate(zip(per.read_text().splitlines(), lib.per_record)):
+            # the keys before upper_matched are written as they were without it
+            head = {"index": i, "precision": r.precision, "recall": r.recall, "f1": r.f1,
+                    "matched": r.matched, "pred_triples": r.n_pred_triples,
+                    "gold_triples": r.n_gold_triples}
+            assert line == json.dumps(head)[:-1] + f', "upper_matched": {r.upper_matched}}}'
+            assert r.matched <= r.upper_matched <= min(r.n_pred_triples, r.n_gold_triples)
+
+    def test_json_payload_ends_with_corpus_bound(self, amr_file, other_amr_file, capsys):
+        run(["smatch", "--pred", str(other_amr_file), "--gold", str(amr_file), "--seed", "2"])
+        payload = json.loads(capsys.readouterr().out)
+        lib = corpus_smatch(str(other_amr_file), str(amr_file), seed=2)
+        assert list(payload) == ["precision", "recall", "f1", "n_records", "seed", "backend",
+                                 "upper_matched"]
+        assert payload["upper_matched"] == lib.upper_matched
+        assert lib.matched <= lib.upper_matched
+        run(["smatch", "--pred", str(other_amr_file), "--gold", str(amr_file), "--seed", "2",
+             "--format", "table"])
+        assert capsys.readouterr().out == (
+            f"# seed: 2\nprecision {lib.precision:.4f}  recall {lib.recall:.4f}  "
+            f"f1 {lib.f1:.4f}  records 4\n"
+        )
 
 
 class TestReportCommand:

@@ -190,6 +190,14 @@ class TestSerialize:
         with pytest.raises(ValueError, match=r"^nodes unreachable from root: \['b'\]$"):
             walk(g)
 
+    @pytest.mark.parametrize("walk", [linearize, serialize_penman, AmrGraph.check],
+                             ids=["linearize", "serialize_penman", "check"])
+    def test_duplicate_node_id_rejected(self, walk):
+        # a walk keyed by id would see one node "a" and drop the other
+        g = AmrGraph((Node("a", "x"), Node("a", "y")), (), "a")
+        with pytest.raises(ValueError, match=r"^duplicate node identifiers$"):
+            walk(g)
+
 
 class TestTriples:
     def test_two_node(self):

@@ -13,6 +13,7 @@ from amrkit.linearize import delinearize
 from amrkit.repair import FALLBACK
 from amrkit.smatch import (
     CountMismatch,
+    _pair_upper,
     _Problem,
     align_records,
     corpus_smatch,
@@ -25,7 +26,9 @@ from .helpers import (
     RELATIONS,
     random_graph,
     reference_best_score,
+    reference_class_bound,
     reference_hill_climb,
+    reference_pair_bound,
     reference_score,
     reference_smatch_hill_climb,
     reference_unary,
@@ -94,6 +97,15 @@ def random_pair(rng: np.random.RandomState) -> tuple[AmrGraph, AmrGraph]:
             nodes[k] = Node(nodes[k].id, CONCEPTS[rng.randint(len(CONCEPTS))])
         gold = AmrGraph(tuple(nodes), gold.edges, gold.root).check()
     return pred, gold
+
+
+def _with_repeated_edge(rng: np.random.RandomState, g: AmrGraph) -> AmrGraph:
+    """``g``, at random with one of its edges between two variables (a
+    self-loop included) repeated."""
+    rels = [e for e in g.edges if not g.node(e.tgt).constant]
+    if not rels or rng.randint(2):
+        return g
+    return AmrGraph(g.nodes, g.edges + (rels[rng.randint(len(rels))],), g.root).check()
 
 
 def _loaded_by_import(module: str, then: str = "") -> bool:
@@ -251,6 +263,59 @@ class TestBound:
         res = smatch_hill_climb(pred, gold)
         # concepts 2, TOP 1, polarity 1, arg0 1, mod 0 (self-loop against edge)
         assert res.upper_matched == 5 == res.matched
+
+    def test_bound_matches_loop_form(self):
+        rng = np.random.RandomState(35)
+        below = 0
+        for _ in range(300):
+            pred, gold = (_with_repeated_edge(rng, g) for g in random_pair(rng))
+            by_class = reference_class_bound(pred, gold)
+            by_pair = reference_pair_bound(pred, gold)
+            assert _Problem(pred, gold).upper == min(by_class, by_pair)
+            below += by_pair < by_class
+        assert below >= 20
+
+    def test_pair_bound_below_class_bound(self):
+        # both :ARG0 edges leave w in pred, one leaves w and one b in gold:
+        # the classes match all six triples, but w can match only one of
+        # its two :ARG0 edges under any mapping
+        pred = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG0 (g / girl))")
+        gold = parse_penman("(w / want-01 :ARG0 (b / boy :ARG0 (g / girl)))")
+        assert reference_class_bound(pred, gold) == 6
+        assert reference_pair_bound(pred, gold) == 5
+        assert _Problem(pred, gold).upper == 5
+        assert smatch_exact(pred, gold).matched == 5
+        res = smatch_hill_climb(pred, gold)
+        assert res.matched == res.upper_matched == 5
+
+    def test_class_bound_below_pair_bound(self):
+        # rare on random graphs: both boys of pred would take gold's one boy,
+        # and both see-01 nodes of gold would take pred's one see-01
+        pred = parse_penman("(x / city :poss (y / boy) :ARG1 (z / boy :op2 (w / see-01)))")
+        gold = parse_penman("(a / see-01 :location (b / boy :ARG1 2) :mod (c / see-01))")
+        assert reference_class_bound(pred, gold) == 2
+        assert reference_pair_bound(pred, gold) == 3
+        assert _Problem(pred, gold).upper == 2 == smatch_exact(pred, gold).matched
+
+    def test_pair_bound_zero_for_empty_side(self):
+        deg = np.ones((3, 2), np.int64)
+        empty = np.zeros((3, 0), np.int64)
+        assert _pair_upper(np.zeros((0, 2), np.int64), empty, deg) == 0
+        assert _pair_upper(np.zeros((2, 0), np.int64), deg, empty) == 0
+
+    def test_bound_without_relations(self):
+        pairs = [
+            ("(c / cat :polarity - :polarity -)", "(c / cat :polarity -)", 3),
+            ("(w / want-01 :ARG0 (b / boy))", "(w / want-01)", 2),
+            ("(w / want-01)", "(w / want-01 :ARG0 (b / boy))", 2),
+        ]
+        for pred, gold, upper in pairs:
+            pred, gold = parse_penman(pred), parse_penman(gold)
+            prob = _Problem(pred, gold)
+            n2 = len(gold.var_nodes())
+            assert prob.grel.shape == (n2, n2, 1)
+            assert prob.upper == upper == smatch_exact(pred, gold).matched
+            assert upper == min(reference_class_bound(pred, gold), reference_pair_bound(pred, gold))
 
     def test_corpus_bound_is_the_sum(self):
         pred2, gold2 = parse_penman("(c / cat)"), parse_penman("(c / cat :ARG0 (d / dog))")
