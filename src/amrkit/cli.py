@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -200,6 +201,8 @@ def _cmd_noise(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise AmrkitError(f"--threshold must be a finite number, not {args.threshold}")
     records = read_corpus_jsonl(args.infile)
     kept, dropped = bt_filter(records, HashEmbedding(), threshold=args.threshold)
     write_corpus_jsonl(args.kept, kept)
@@ -227,6 +230,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_report(args) -> int:
     values = [float(v) for v in args.scores.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise AmrkitError(f"--scores must be finite numbers, not {args.scores}")
     if len(values) != len(LANGS_ALL):
         raise AmrkitError(
             f"expected {len(LANGS_ALL)} scores in order {','.join(LANGS_ALL)}"

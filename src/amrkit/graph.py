@@ -88,6 +88,13 @@ QUOTED_RE = re.compile(r'"(?:[^"\\]|\\(?s:.))*"')
 LABEL_RE = re.compile(f":{_BARE}")
 
 
+def _check_atoms(nodes: Iterable[Node]) -> None:
+    """Raise ValueError at the first node whose concept breaks the atom rule."""
+    for n in nodes:
+        if not (ATOM_RE.fullmatch(n.concept) or n.constant and QUOTED_RE.fullmatch(n.concept)):
+            raise ValueError(f"node {n.id!r}: {n.concept!r} breaks the atom rule")
+
+
 @dataclass(frozen=True)
 class AmrGraph:
     """Immutable rooted graph. ``nodes`` and ``edges`` preserve construction
@@ -118,15 +125,14 @@ class AmrGraph:
         """Validate the structural invariants and the atom rule, returning
         self.
 
-        Raises ValueError on the first violation; used defensively after
-        construction from untrusted sources (parsers, generators).
+        Raises ValueError on the first violation.  ``parse_penman`` and
+        ``delinearize`` return graphs that pass it by construction; it is
+        for graphs built any other way.
         """
         self._check_unique_ids()
         if self.root not in self._by_id or self.node(self.root).constant:
             raise ValueError("root must name a variable-bearing node")
-        for n in self.nodes:
-            if not (ATOM_RE.fullmatch(n.concept) or n.constant and QUOTED_RE.fullmatch(n.concept)):
-                raise ValueError(f"node {n.id!r}: {n.concept!r} breaks the atom rule")
+        _check_atoms(self.nodes)
         for e in self.edges:
             if not LABEL_RE.fullmatch(e.label):
                 raise ValueError(f"invalid edge label {e.label!r}")
@@ -222,7 +228,7 @@ def parse_penman(text: str) -> AmrGraph:
     concept or constant that breaks the atom rule (``(a / :foo)``, a
     constant ``<V1>``) all raise MalformedPenman.  Re-entrant variable
     mentions (including forward references) become additional edges to the
-    one node.
+    one node.  The graph returned passes ``AmrGraph.check`` by construction.
     """
     meta, body = _split_metadata(text)
     tokens = _tokenize_penman(body)
@@ -245,7 +251,6 @@ def parse_penman(text: str) -> AmrGraph:
     concepts: dict[str, str] = {}
     # (src_var, label, raw_target) in textual order
     raw_edges: list[tuple[str, str, str]] = []
-    def_order: list[str] = []
 
     def open_node() -> str:
         tok = take()
@@ -262,22 +267,17 @@ def parse_penman(text: str) -> AmrGraph:
         if var in concepts:
             raise MalformedPenman(f"duplicate definition of variable {var!r}")
         concepts[var] = concept
-        def_order.append(var)
         return var
 
     root = open_node()
     stack = [root]  # variables of the open nodes, innermost last
     while stack:
-        tok = peek()
-        if tok == ")":
-            take()
+        label = take()
+        if label == ")":
             stack.pop()
             continue
-        if tok is None:
-            raise MalformedPenman("unexpected end of input (unbalanced parentheses)")
-        if not tok.startswith(":") or tok == ":":
-            raise MalformedPenman(f"expected relation or ')', found {tok!r}")
-        label = take()
+        if not label.startswith(":") or label == ":":
+            raise MalformedPenman(f"expected relation or ')', found {label!r}")
         val = peek()
         if val == "(":
             child = open_node()
@@ -290,28 +290,25 @@ def parse_penman(text: str) -> AmrGraph:
     if pos != len(tokens):
         raise MalformedPenman(f"trailing content after graph: {tokens[pos]!r}")
 
-    nodes = [Node(v, concepts[v]) for v in def_order]
-    taken_ids = set(concepts)
-    const_ids: dict[str, str] = {}
+    nodes = [Node(v, c) for v, c in concepts.items()]
+    ids = {v: v for v in concepts}  # variable or constant -> node id
+    taken = set(concepts)
     edges = []
     for src, label, tgt in raw_edges:
-        if tgt in concepts:
-            edges.append(Edge(src, label, tgt))
-            continue
-        cid = const_ids.get(tgt)
-        if cid is None:
+        if tgt not in ids:
             cid = tgt
-            while cid in taken_ids:
+            while cid in taken:
                 cid += "_"
-            taken_ids.add(cid)
-            const_ids[tgt] = cid
+            taken.add(cid)
+            ids[tgt] = cid
             nodes.append(Node(cid, tgt, constant=True))
-        edges.append(Edge(src, label, cid))
+        edges.append(Edge(src, label, ids[tgt]))
 
     try:
-        return AmrGraph(tuple(nodes), tuple(edges), root, meta).check()
+        _check_atoms(nodes)
     except ValueError as exc:
         raise MalformedPenman(str(exc)) from exc
+    return AmrGraph(tuple(nodes), tuple(edges), root, meta)
 
 
 # ---------------------------------------------------------------------------

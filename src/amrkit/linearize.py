@@ -110,10 +110,11 @@ def delinearize(tokens: list[str]) -> AmrGraph:
 
     The tokens are read as groups ``( <Vk> concept (relation value)* )``,
     each value a group, a variable token defined before it or a literal;
-    the k-th group read (from 0) opens with ``var_token(k)``; and the graph
-    must pass ``AmrGraph.check`` (the atom rule).  The read copies every
-    other token as it stands, so ``linearize`` gives an accepted line back.
-    Anything else raises InvalidLinearization at the first token at fault.
+    and the k-th group read (from 0) opens with ``var_token(k)``.  Anything
+    else raises InvalidLinearization at the first token at fault.  The read
+    copies every other token as it stands, so ``linearize`` gives an
+    accepted line back, and the graph passes ``AmrGraph.check`` by
+    construction.
     """
     tokens = list(tokens)
     n = len(tokens)
@@ -174,12 +175,7 @@ def delinearize(tokens: list[str]) -> AmrGraph:
     if i < n:
         raise fault(i, "trailing content after the graph")
 
-    graph = AmrGraph(tuple(nodes), tuple(edges), nodes[0].id)
-    try:
-        graph.check()
-    except ValueError as exc:
-        raise InvalidLinearization(str(exc)) from exc
-    return graph
+    return AmrGraph(tuple(nodes), tuple(edges), nodes[0].id)
 
 
 def validate_linear(tokens: list[str]) -> bool:

@@ -196,6 +196,14 @@ class TestReportCommand:
     def test_wrong_arity_is_data_error(self, capsys):
         assert run(["report", "--scores", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    def test_non_finite_score_is_data_error(self, capsys, value, fmt):
+        assert run(["report", "--scores", f"{value},1,2,3,4", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("amrkit: error: --scores must be finite numbers")
+
 
 class TestRoundTripCommands:
     def test_linearize_delinearize(self, amr_file, tmp_path):
@@ -420,6 +428,18 @@ class TestPipelineCommands:
         assert run(["stats", "--in", str(kept), "--format", "json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["DE"]["train"] == 6
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_filter_non_finite_threshold_is_data_error(self, tmp_path, capsys, value):
+        corpus = tmp_path / "c.jsonl"
+        record = CorpusRecord("r0", "DE", "train", "satz", provenance="silver-mt",
+                              meta={"src_en": "sentence"})
+        write_corpus_jsonl(str(corpus), [record])
+        kept = tmp_path / "kept.jsonl"
+        assert run(["filter", "--in", str(corpus), "--kept", str(kept), f"--threshold={value}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not kept.exists()
+        assert captured.err.startswith("amrkit: error: --threshold must be a finite number")
 
 
 # ---------------------------------------------------------------------------

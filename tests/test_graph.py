@@ -71,6 +71,31 @@ def literal_graphs(draw):
     return AmrGraph(nodes, edges, g.root).check()
 
 
+# texts parse_penman rejects, each with its message where a test pins it
+_REJECTED = [
+    ("", None),
+    ("boy", None),
+    ("(w)", None),
+    ("(w / )", None),
+    ("(w / want-01))", None),
+    ("(w / want-01 :ARG0)", None),
+    ("(w / a) (x / b)", None),
+    ("(w / w1 :ARG0 (w / w2))", None),  # duplicate variable definition
+    ("(w / a :ARG0 / b)", None),
+    ('(w / "quoted-concept")', None),
+    ("(w / a :ARG0 (b / boy) extra", None),
+    ('(w / a :wiki "unterminated)', None),
+    ('(w / a :wiki "x\\"', None),  # escaped quote, then end of input
+    ('(w / a :wiki "x\\', None),  # backslash as the last character of an open quote
+    # a constant spelled as a variable token
+    ("(a / b :ARG0 (c / d) :ARG1 <V1>)", "node '<V1>': '<V1>' breaks the atom rule"),
+    # a relation-shaped concept
+    ("(a / :foo)", "node 'a': ':foo' breaks the atom rule"),
+    # a concept spelled as a variable token
+    ("(a / <V3>)", "node 'a': '<V3>' breaks the atom rule"),
+]
+
+
 class TestParse:
     def test_two_node_graph(self):
         g = parse_penman(WANT_BOY)
@@ -89,31 +114,22 @@ class TestParse:
         with pytest.raises(MalformedPenman):
             parse_penman("(w / want-01 :ARG0 (b / boy")
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "boy",
-            "(w)",
-            "(w / )",
-            "(w / want-01))",
-            "(w / want-01 :ARG0)",
-            "(w / a) (x / b)",
-            "(w / w1 :ARG0 (w / w2))",  # duplicate variable definition
-            "(w / a :ARG0 / b)",
-            '(w / "quoted-concept")',
-            "(w / a :ARG0 (b / boy) extra",
-            '(w / a :wiki "unterminated)',
-            '(w / a :wiki "x\\"',  # escaped quote, then end of input
-            '(w / a :wiki "x\\',  # backslash as the last character of an open quote
-            "(a / b :ARG0 (c / d) :ARG1 <V1>)",  # a constant spelled as a variable token
-            "(a / :foo)",  # a relation-shaped concept
-            "(a / <V3>)",  # a concept spelled as a variable token
-        ],
-    )
-    def test_rejects_what_serializer_cannot_emit(self, text):
-        with pytest.raises(MalformedPenman):
+    @pytest.mark.parametrize("text, message", _REJECTED, ids=[text for text, _ in _REJECTED])
+    def test_rejects_what_serializer_cannot_emit(self, text, message):
+        with pytest.raises(MalformedPenman) as info:
             parse_penman(text)
+        if message is not None:
+            assert str(info.value) == message
+
+    @given(st.lists(st.sampled_from(["(", ")", "/", ":ARG0", ":foo", ":", "<V1>", '"q"',
+                                     '"a b"', "a", "b", "-"]), max_size=24))
+    @settings(max_examples=500, deadline=None)
+    def test_token_soup_parses_to_checked_graph_or_raises(self, tokens):
+        try:
+            g = parse_penman(" ".join(tokens))
+        except MalformedPenman:
+            return
+        assert g.check() is g
 
     def test_tokenizer_edge_cases(self):
         assert _tokenize_penman('ab"cd"') == ["ab", '"cd"']

@@ -139,6 +139,7 @@ class TestRoundTrip:
             g = delinearize(tokens)
         except InvalidLinearization:
             return
+        assert g.check() is g
         assert linearize(g) == tokens
 
     @given(graphs())
