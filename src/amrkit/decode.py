@@ -13,19 +13,25 @@ Both exhaustive oracles walk it through one enumerator,
 Ties are broken by vocabulary order token by token, which also prefers the
 shorter sequence when one is a prefix of the other.
 
-A beam step gets the rows of all live prefixes from one
-``next_dist_batch`` call (``ToyCondModel`` builds them in one array op) and
-scores candidates with ``math.log``, which can differ from ``np.log`` in the
-last bit.  When there are more candidates than free slots it ranks them by
-``np.log`` first and takes ``math.log`` only for those within a proven
-margin of the cut, and of exact ties within a row only as many as there are
-free slots; the hypotheses are the same, bit for bit (the bound is stated in
-``beam_search``).
+``beam_search_batch`` decodes several sources in lock step, one beam per
+source: a step gets the rows of the live prefixes of every unfinished
+source from one ``next_dist_batch(prefixes, srcs)`` call, one source per
+row (``ToyCondModel`` builds them in one array op), and ranks each source
+on its own.  ``beam_search`` is a batch of one.  Candidates are scored with
+``math.log``, which can differ from ``np.log`` in the last bit.  Each
+source's candidates are ranked by ``np.log`` first, and ``math.log`` is
+taken only for those within a proven margin of that source's cut, and of
+exact ties within a row only as many as the source has free slots; the
+hypotheses are the same, bit for bit, as ranking every candidate by
+``math.log`` (the bound is stated in ``_near_cut``), and the same in any
+batch.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -34,7 +40,14 @@ import numpy as np
 from .errors import TooLarge
 from .seqmodel import BOS, EOS, SeqModel
 
-__all__ = ["BeamHypothesis", "beam_search", "complete_sequences", "exact_mode", "strip_sentinels"]
+__all__ = [
+    "BeamHypothesis",
+    "beam_search",
+    "beam_search_batch",
+    "complete_sequences",
+    "exact_mode",
+    "strip_sentinels",
+]
 
 _ENUMERATION_BOUND = 1_000_000
 
@@ -56,14 +69,26 @@ def strip_sentinels(tokens: Sequence[str]) -> list[str]:
 def beam_search(
     model: SeqModel, src: Sequence[str], beam_size: int, max_len: int
 ) -> list[BeamHypothesis]:
-    """Length-unnormalized beam search without early-stop heuristics.
+    """Beam search for one source: ``beam_search_batch(model, [src],
+    beam_size, max_len)[0]``."""
+    return beam_search_batch(model, [src], beam_size, max_len)[0]
 
-    Each step ranks all expansions of the live beam together; finished
-    expansions (chosen EOS, or forced at max_len) retire and permanently
-    reserve a slot, shrinking the live width.  Returns up to ``beam_size``
-    finished hypotheses, best first.  With ``beam_size >= |vocab|^max_len``
-    no live candidate is ever pruned, so the top hypothesis is the exact
-    mode; with ``beam_size == 1`` this is greedy decoding.
+
+def beam_search_batch(
+    model: SeqModel, srcs: Sequence[Sequence[str]], beam_size: int, max_len: int
+) -> list[list[BeamHypothesis]]:
+    """Length-unnormalized beam search without early-stop heuristics, for
+    each source in lock step.
+
+    Each source keeps its own beam.  Each step ranks all expansions of a
+    source's live beam together; finished expansions (chosen EOS, or forced
+    at max_len) retire and permanently reserve a slot, shrinking the live
+    width.  One ``next_dist_batch`` call per step answers the live prefixes
+    of every unfinished source, and each source is ranked on its own, so its
+    hypotheses are those it gets in a batch of one.  Returns, per source, up
+    to ``beam_size`` finished hypotheses, best first.  With ``beam_size >=
+    |vocab|^max_len`` no live candidate is ever pruned, so the top hypothesis
+    is the exact mode; with ``beam_size == 1`` this is greedy decoding.
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
@@ -72,72 +97,119 @@ def beam_search(
     eos = model.index(EOS)
     vocab, v = model.vocab, len(model.vocab)
 
-    # live entries: (log_prob, token-id tuple, token tuple); retired entries:
-    # (log_prob, token-id tuple ending in EOS).  Live entries all have the
-    # same length and are kept in ids order, so the row-major order of the
-    # live × vocabulary candidates is their ids order and a stable sort on
-    # log_prob, best first, ranks them by (-log_prob, ids).
-    live: list[tuple[float, tuple[int, ...], tuple[str, ...]]] = [(0.0, (), ())]
-    retired: list[tuple[float, tuple[int, ...]]] = []
-    while live and len(retired) < beam_size:
-        width = beam_size - len(retired)
-        dists = model.next_dist_batch([words for _, _, words in live], src)
-        flat, positive = dists.ravel(), dists > 0
-        near = None
-        if width < dists.size:
-            # Rank by np.log first and take math.log (the two can differ in
-            # the last bit) only where a candidate can still enter the beam.
-            # For positive finite p, |log p| < 745 and either log is within a
-            # few ulp of the true value, so they differ by under 1e-12; with
-            # the rounding of the addition, a candidate's approximate score
-            # a and exact score s differ by eps < 1e-12 + 2**-51 * (|a| + |s|).
-            # The width candidates with a >= cut (the width-th best a) have
-            # s >= cut - eps, so the exact top width and every tie with the
-            # last of them have s >= cut - eps and a >= cut - 2 * eps, inside
-            # the margin 1e-9 * (1 + |cut|).  Every dropped candidate scores
-            # below all of those, so the stable sort of the kept ones, in
-            # candidate order, picks the same entries in the same order.  A
-            # cut that is not finite (at most width candidates) keeps all.
-            approx = np.log(dists, out=np.full(dists.shape, -math.inf), where=positive)
-            base = np.array([lp for lp, _, _ in live])[:, None]
-            approx = np.add(approx, base, out=approx, where=positive).ravel()
-            cut = float(np.partition(approx, approx.size - width)[approx.size - width])
-            if math.isfinite(cut):
-                near = (approx >= cut - 1e-9 * (1 + abs(cut))).nonzero()[0]
-                if len(near) > 4 * width:
-                    # a cut on a smoothed row's floor brings in the whole
-                    # floor, whose exact ties mostly cannot be picked
-                    near = _cap_exact_ties(near, flat[near], v, width)
-        if near is None:
-            near = np.flatnonzero(positive)
-        cands = [(live[c // v], c % v, p) for c, p in zip(near.tolist(), flat[near].tolist())]
-        scores = [entry[0] + math.log(p) for entry, _, p in cands]
-        children = []
-        for c in sorted(range(len(cands)), key=scores.__getitem__, reverse=True)[:width]:
-            (_, ids, words), idx, _ = cands[c]
-            nlp, ids = scores[c], ids + (idx,)
-            if idx == eos:
-                retired.append((nlp, ids))
-            elif len(ids) == max_len:
-                retired.append((nlp, ids + (eos,)))
-            else:
-                children.append((c, nlp, ids, words + (vocab[idx],)))
-        children.sort()  # candidate order is ids order
-        live = [(nlp, ids, words) for _, nlp, ids, words in children]
+    # Per source, live entries: (log_prob, token-id tuple, token tuple);
+    # retired entries: (log_prob, token-id tuple ending in EOS).  A source's
+    # live entries all have the same length and are kept in ids order, and
+    # the rows of one source are adjacent in a step's array, so the
+    # row-major order of a source's live × vocabulary candidates is their
+    # ids order and a stable sort on log_prob, best first, ranks them by
+    # (-log_prob, ids).
+    lives: list[list[tuple[float, tuple[int, ...], tuple[str, ...]]]]
+    lives = [[(0.0, (), ())] for _ in srcs]
+    retireds: list[list[tuple[float, tuple[int, ...]]]] = [[] for _ in srcs]
+    todo = list(range(len(srcs)))
+    while todo:
+        rows = [entry for s in todo for entry in lives[s]]
+        dists = model.next_dist_batch([words for _, _, words in rows],
+                                      [srcs[s] for s in todo for _ in lives[s]])
+        counts = [len(lives[s]) for s in todo]
+        widths = [beam_size - len(retireds[s]) for s in todo]
+        near = _near_cut(dists, [lp for lp, _, _ in rows], counts, widths)
+        near_l = near.tolist()
+        ps = dists.ravel()[near].tolist()
+        scores = [rows[c // v][0] + math.log(p) for c, p in zip(near_l, ps)]
+        lo = end = 0
+        for s, width, count in zip(todo, widths, counts):
+            end += count * v
+            hi = bisect_left(near_l, end, lo)
+            retired, children = retireds[s], []
+            for k in sorted(range(lo, hi), key=scores.__getitem__, reverse=True)[:width]:
+                c = near_l[k]
+                _, ids, words = rows[c // v]
+                idx = c % v
+                nlp, ids = scores[k], ids + (idx,)
+                if idx == eos:
+                    retired.append((nlp, ids))
+                elif len(ids) == max_len:
+                    retired.append((nlp, ids + (eos,)))
+                else:
+                    children.append((c, nlp, ids, words + (vocab[idx],)))
+            children.sort()  # candidate order is ids order
+            lives[s] = [(nlp, ids, words) for _, nlp, ids, words in children]
+            lo = hi
+        todo = [s for s in todo if lives[s] and len(retireds[s]) < beam_size]
 
-    retired.sort(key=lambda c: (-c[0], c[1]))
-    return [
-        BeamHypothesis(tuple(model.vocab[i] for i in ids), lp)
-        for lp, ids in retired[:beam_size]
-    ]
+    out = []
+    for retired in retireds:
+        retired.sort(key=lambda c: (-c[0], c[1]))
+        out.append([BeamHypothesis(tuple(vocab[i] for i in ids), lp)
+                    for lp, ids in retired[:beam_size]])
+    return out
 
 
-def _cap_exact_ties(near: np.ndarray, ps: np.ndarray, v: int, width: int) -> np.ndarray:
+def _near_cut(
+    dists: np.ndarray, base: list[float], counts: list[int], widths: list[int]
+) -> np.ndarray:
+    """Ascending flat indices into ``dists`` (the live rows of several
+    sources, ``counts[s]`` adjacent rows for source s, each with its log
+    probability in ``base``) of the positive candidates that can still take
+    one of the ``widths[s]`` free slots of their source.
+
+    Candidates are ranked by ``np.log`` first, and ``math.log`` (the two can
+    differ in the last bit) is left to the caller, for these alone.  For
+    positive finite p, |log p| < 745 and either log is within a few ulp of
+    the true value, so they differ by under 1e-12; with the rounding of the
+    addition, a candidate's approximate score a and exact score s differ by
+    eps < 1e-12 + 2**-51 * (|a| + |s|).  A source's width candidates with a
+    >= cut (its width-th best a) have s >= cut - eps, so its exact top width
+    and every tie with the last of them have s >= cut - eps and a >= cut - 2
+    * eps, inside the margin 1e-9 * (1 + |cut|).  Every dropped candidate
+    scores below all of those, so the stable sort of the kept ones, in
+    candidate order, picks the same entries in the same order.  A source
+    with at most width positive candidates has cut -inf or its smallest
+    candidate, and keeps them all.
+    """
+    n, v = len(counts), dists.shape[1]
+    with np.errstate(divide="ignore"):  # a zero candidate scores -inf
+        approx = np.log(dists)
+    approx += np.array(base)[:, None]
+    # A source's width-th best candidate is among the k best of each of its
+    # rows: gather those into one sorted row per source, -inf where it has
+    # fewer live rows than the most.
+    k, m = min(max(widths), v), max(counts)
+    if k == 1:
+        top = approx.max(axis=1, keepdims=True)
+    else:
+        top = np.partition(approx, v - k, axis=1)[:, v - k:]
+    if n * m != len(base):
+        pool = np.full((n, m, k), -math.inf)
+        sources = [s for s, c in enumerate(counts) for _ in range(c)]
+        pool[sources, [j for c in counts for j in range(c)]] = top
+        top = pool
+    top = top.reshape(n, m * k)
+    if m * k > 1:
+        top = np.sort(top, axis=1)
+    floors = []
+    for row, c, w in zip(top.tolist(), counts, widths):
+        cut = row[max(m * k - w, 0)]
+        # never below the lowest float, so a zero candidate (-inf) stays out
+        floors += [max(cut - 1e-9 * (1 + abs(cut)), -sys.float_info.max)] * c
+    near = (approx >= np.array(floors)[:, None]).ravel().nonzero()[0]
+    if len(near) > 4 * sum(widths):
+        # a cut on a smoothed row's floor brings in the whole floor, whose
+        # exact ties mostly cannot be picked
+        near = _cap_exact_ties(near, dists.ravel()[near], v, np.repeat(widths, counts))
+    return near
+
+
+def _cap_exact_ties(near: np.ndarray, ps: np.ndarray, v: int, row_width: np.ndarray) -> np.ndarray:
     """The candidates of ``near`` (ascending flat indices into a live ×
     vocabulary array, with probabilities ``ps``) that are among the first
-    ``width`` of their row with their probability.  The entries of one row
-    with one probability score exactly alike, so the stable sort ranks them
-    in candidate order and none after the first ``width`` can be picked."""
+    ``row_width[row]`` of their row with their probability.  The entries of
+    one row with one probability score exactly alike, so the stable sort
+    ranks them in candidate order and, with at most that many slots free for
+    the row's source, none after the first ``row_width[row]`` can be
+    picked."""
     rows = near // v
     order = np.lexsort((ps, rows))  # stable: by row, probability, then index
     r, p, pos = rows[order], ps[order], np.arange(len(order))
@@ -145,7 +217,7 @@ def _cap_exact_ties(near: np.ndarray, ps: np.ndarray, v: int, width: int) -> np.
     first[1:] = (r[1:] != r[:-1]) | (p[1:] != p[:-1])
     rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
     keep = np.empty(len(order), bool)
-    keep[order] = rank < width
+    keep[order] = rank < row_width[r]
     return near[keep]
 
 

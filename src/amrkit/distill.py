@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .decode import beam_search, complete_sequences, strip_sentinels
+from .decode import beam_search_batch, complete_sequences, strip_sentinels
+from .decode import beam_search  # perfbench's tracer wraps distill.beam_search; its check calls it
 from .errors import AmrkitError
 from .pipeline import AdapterError, CorpusRecord, NoiseSpec, noise_each
 from .repair import repair
@@ -47,6 +48,9 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 OBJECTIVES = ("mle", "token_kd", "seq_kd", "tok_plus_seq")
+# Sentences seq_kd_build decodes in lock step: enough to share each step's
+# model call, few enough that the live rows of a chunk stay small.
+DECODE_CHUNK = 64
 
 
 class ZeroProbability(AmrkitError):
@@ -164,9 +168,11 @@ def seq_kd_build(
     All inputs are noised before decoding, by one ``noise_each`` call, so a
     command adapter sees one process per chunk of inputs.  An input whose
     adapter call failed is skipped with a log line and is not decoded; the
-    batch never aborts.  Output order equals input order.  ``jobs`` must be
-    1; it remains for callers written when inputs could be decoded on
-    several threads.
+    batch never aborts.  The other inputs are decoded ``DECODE_CHUNK`` at a
+    time by ``beam_search_batch``, so one model call per step serves a whole
+    chunk, and each target is the one ``beam_search`` gives its sentence
+    alone.  Output order equals input order.  ``jobs`` must be 1; it remains
+    for callers written when inputs could be decoded on several threads.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
@@ -174,23 +180,28 @@ def seq_kd_build(
     noised = noise_each(noise, sentences, translator)
     lang = noise.target_lang if noise.kind == "mt_adapter" else "EN"
 
-    records = []
+    todo = []
     for i, (sentence, student_src) in enumerate(zip(sentences, noised)):
         if isinstance(student_src, AdapterError):
             log.warning("kd input %d: %s; skipped", i, student_src)
-            continue
-        top = beam_search(teacher, sentence.split(), beam_size, max_len)[0]
-        records.append(
-            CorpusRecord(
-                id=f"kd-{i:06d}",
-                lang=lang,
-                split="train",
-                src=student_src,
-                tgt=tuple(repair(strip_sentinels(top.tokens))),
-                provenance="seq-kd",
-                meta={"src_en": sentence, "noise": noise.kind},
+        else:
+            todo.append((i, sentence, student_src))
+    records = []
+    for start in range(0, len(todo), DECODE_CHUNK):
+        chunk = todo[start : start + DECODE_CHUNK]
+        beams = beam_search_batch(teacher, [s.split() for _, s, _ in chunk], beam_size, max_len)
+        for (i, sentence, student_src), hyps in zip(chunk, beams):
+            records.append(
+                CorpusRecord(
+                    id=f"kd-{i:06d}",
+                    lang=lang,
+                    split="train",
+                    src=student_src,
+                    tgt=tuple(repair(strip_sentinels(hyps[0].tokens))),
+                    provenance="seq-kd",
+                    meta={"src_en": sentence, "noise": noise.kind},
+                )
             )
-        )
     return records
 
 
@@ -225,11 +236,12 @@ def train(
     mle and seq_kd count the record's hard target (for seq_kd that target is
     teacher-generated upstream); token_kd adds the teacher's per-step
     distributions as fractional counts along the target prefixes;
-    tok_plus_seq does both on the teacher-generated target.  Student inputs
-    are used exactly as recorded.  A record whose target holds a token
-    outside the model's vocabulary (a repair placeholder such as
-    ``amr-empty``, say) is skipped with a log line, before it changes any
-    count.
+    tok_plus_seq does both on the teacher-generated target.  The teacher
+    answers all prefixes of a record's target in one ``next_dist_batch``
+    call.  Student inputs are used exactly as recorded.  A record whose
+    target holds a token outside the model's vocabulary (a repair
+    placeholder such as ``amr-empty``, say) is skipped with a log line,
+    before it changes any count.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -249,7 +261,8 @@ def train(
             if objective != "token_kd":
                 model.observe(rec.x, rec.y)
             if needs_teacher:
-                for t in range(len(rec.y)):
-                    dist = teacher.next_dist(rec.y[:t], rec.x_star)
-                    model.add_dist_counts(rec.y[:t], rec.x, dist)
+                prefixes = [rec.y[:t] for t in range(len(rec.y))]
+                dists = teacher.next_dist_batch(prefixes, [rec.x_star] * len(prefixes))
+                for prefix, dist in zip(prefixes, dists):
+                    model.add_dist_counts(prefix, rec.x, dist)
     return model

@@ -6,10 +6,11 @@ tuple containing the sentinels ``<s>`` (BOS) and ``</s>`` (EOS); prefixes
 passed to ``next_dist`` never include BOS (models pad internally); returned
 vectors are nonnegative, sum to one within 1e-9, and depend only on
 (prefix, source).  Shipped models assign probability exactly zero to BOS so
-decoders never have to special-case it.  ``next_dist_batch`` answers several
-prefixes of one source at once, row for row equal to ``next_dist``;
-``ToyCondModel.next_dist`` is row 0 of its own ``next_dist_batch``, so there
-the two agree by construction.
+decoders never have to special-case it.  ``next_dist_batch(prefixes, srcs)``
+answers several (prefix, source) rows at once, one source per row, row for
+row equal to ``next_dist``, so one call serves the live prefixes of many
+sentences; ``ToyCondModel.next_dist`` is row 0 of its own
+``next_dist_batch``, so there the two agree by construction.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ _MAX_COUNT = 1e300
 # Bound on ToyCondModel.order: the context key holds order - 1 token ids, so
 # a model file's order alone would otherwise set the cost of every query.
 MAX_ORDER = 1024
+# Sources whose hash ToyCondModel keeps: more than the sentences of one
+# decode chunk (distill's DECODE_CHUNK), so a lock-step decode never misses.
+_SOURCE_CACHE = 256
 
 
 def stable_hash(text: str) -> int:
@@ -63,12 +67,15 @@ class SeqModel(ABC):
     def next_dist(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
         """Distribution over the full vocabulary for the next position."""
 
-    def next_dist_batch(self, prefixes: Sequence[Sequence[str]], src: Sequence[str]) -> np.ndarray:
-        """``next_dist`` for each prefix under one source, as the rows of a
+    def next_dist_batch(
+        self, prefixes: Sequence[Sequence[str]], srcs: Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        """``next_dist`` for each (prefix, source) pair, as the rows of a
         ``len(prefixes) × |vocab|`` array.  Row i equals
-        ``next_dist(prefixes[i], src)`` bit for bit; subclasses override this
-        only to share work between the rows."""
-        return np.array([self.next_dist(p, src) for p in prefixes])
+        ``next_dist(prefixes[i], srcs[i])`` bit for bit; raises ValueError
+        unless there is one source per prefix.  Subclasses override this only
+        to share work between the rows."""
+        return np.array([self.next_dist(p, src) for p, src in zip(prefixes, srcs, strict=True)])
 
 
 class ToyCondModel(SeqModel):
@@ -80,10 +87,11 @@ class ToyCondModel(SeqModel):
     earlier in the prefix is never seen.  ``alpha`` smoothing mass is spread
     over every vocabulary entry except BOS.  Training only ever adds to counts,
     so repeated observation of one pair converges to that pair's empirical
-    distribution with an alpha-dependent floor.  The model keeps the hash of
-    the last source it was asked about, so the many queries of one decode or
-    training record hash their source once.  ``alpha`` is read-only: the
-    smoothing row is built from it once, and ``save`` writes it.
+    distribution with an alpha-dependent floor.  The model keeps the hashes
+    of the last few hundred distinct sources it was asked about, so a decode
+    of a chunk of sentences, whose steps switch sources row by row, hashes
+    each source once.  ``alpha`` is read-only: the smoothing row is built
+    from it once, and ``save`` writes it.
     """
 
     def __init__(
@@ -109,9 +117,9 @@ class ToyCondModel(SeqModel):
         self._smooth[self.index(BOS)] = 0.0
         self._zero = np.zeros(v)
         self._bos = self.index(BOS)
-        # (tuple(src), its hash) for the last source asked about: a decode or
-        # a training record asks about one source many times in a row
-        self._last_src: tuple[tuple[str, ...], int] = ((), stable_hash(""))
+        # tuple(src) -> its hash, oldest first; bounded so a long run over
+        # many sentences keeps only the recent ones
+        self._src_hash: dict[tuple[str, ...], int] = {}
 
     @property
     def alpha(self) -> float:
@@ -121,9 +129,13 @@ class ToyCondModel(SeqModel):
 
     def bucket(self, src: Sequence[str]) -> int:
         tokens = tuple(src)
-        if tokens != self._last_src[0]:
-            self._last_src = (tokens, stable_hash(" ".join(sorted(tokens))))
-        return self._last_src[1] % self.buckets
+        cache = self._src_hash
+        h = cache.get(tokens)
+        if h is None:
+            if len(cache) >= _SOURCE_CACHE:
+                del cache[next(iter(cache))]
+            h = cache[tokens] = stable_hash(" ".join(sorted(tokens)))
+        return h % self.buckets
 
     def context(self, prefix: Sequence[str]) -> tuple[int, ...]:
         n = self.order - 1
@@ -141,11 +153,14 @@ class ToyCondModel(SeqModel):
     # -- queries and updates ------------------------------------------------
 
     def next_dist(self, prefix: Sequence[str], src: Sequence[str]) -> np.ndarray:
-        return self.next_dist_batch((prefix,), src)[0]
+        return self.next_dist_batch((prefix,), (src,))[0]
 
-    def next_dist_batch(self, prefixes: Sequence[Sequence[str]], src: Sequence[str]) -> np.ndarray:
-        bucket, counts, zero = self.bucket(src), self.counts, self._zero
-        rows = [counts.get((bucket, self.context(p)), zero) for p in prefixes]
+    def next_dist_batch(
+        self, prefixes: Sequence[Sequence[str]], srcs: Sequence[Sequence[str]]
+    ) -> np.ndarray:
+        bucket, context, counts, zero = self.bucket, self.context, self.counts, self._zero
+        rows = [counts.get((bucket(src), context(p)), zero)
+                for p, src in zip(prefixes, srcs, strict=True)]
         num = np.array(rows).reshape(len(rows), len(self.vocab)) + self._smooth
         return num / num.sum(axis=1, keepdims=True)
 

@@ -19,6 +19,7 @@ with numpy alone from triple counts per class and per variable pair (see
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -240,6 +241,19 @@ def _random_init(prob: _Problem, rng: np.random.RandomState) -> np.ndarray:
     return mapping
 
 
+# One generator per thread, reseeded per call: building a RandomState costs
+# far more than reseeding one, and a reseeded one yields the same stream.
+_rng = threading.local()
+
+
+def _seeded_rng(seed: int) -> np.random.RandomState:
+    rng = getattr(_rng, "state", None)
+    if rng is None:
+        rng = _rng.state = np.random.RandomState()
+    rng.seed(seed)
+    return rng
+
+
 def smatch_hill_climb(
     pred: AmrGraph, gold: AmrGraph, restarts: int = 4, seed: int = 0
 ) -> SmatchResult:
@@ -253,7 +267,7 @@ def smatch_hill_climb(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     prob = _Problem(pred, gold)
-    rng = np.random.RandomState(seed)
+    rng = _seeded_rng(seed)
     best_mapping = None
     best = -1
     for r in range(restarts):

@@ -371,3 +371,20 @@ def reference_beam_search(model, src, beam_size, max_len):
         BeamHypothesis(tuple(model.vocab[i] for i in ids), lp)
         for lp, ids in retired[:beam_size]
     ]
+
+
+def reference_train(model, batches, objective, teacher=None):
+    """Loop form of ``distill.train`` for valid objectives and records: the
+    teacher answers one target prefix per ``next_dist`` call."""
+    vocab = set(model.vocab)
+    for batch in batches:
+        for rec in batch.records:
+            if any(tok not in vocab for tok in rec.y):
+                continue
+            if objective != "token_kd":
+                model.observe(rec.x, rec.y)
+            if objective in ("token_kd", "tok_plus_seq"):
+                for t in range(len(rec.y)):
+                    dist = teacher.next_dist(rec.y[:t], rec.x_star)
+                    model.add_dist_counts(rec.y[:t], rec.x, dist)
+    return model

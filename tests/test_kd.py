@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 
@@ -7,8 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amrkit.decode import beam_search, complete_sequences, exact_mode
+from amrkit.decode import (
+    beam_search,
+    beam_search_batch,
+    complete_sequences,
+    exact_mode,
+    strip_sentinels,
+)
 from amrkit.distill import (
+    DECODE_CHUNK,
     KdBatch,
     KdRecord,
     SupportMismatch,
@@ -22,7 +30,8 @@ from amrkit.distill import (
 )
 from amrkit.errors import TooLarge
 from amrkit.linearize import validate_linear
-from amrkit.pipeline import MASK, NoiseSpec
+from amrkit.pipeline import MASK, AdapterError, CorpusRecord, NoiseSpec
+from amrkit.repair import repair
 from amrkit.seqmodel import BOS, EOS, MAX_ORDER, SeqModel, ToyCondModel
 
 from .helpers import (
@@ -32,6 +41,7 @@ from .helpers import (
     deterministic_model,
     random_toy_model,
     reference_beam_search,
+    reference_train,
 )
 
 V4 = (BOS, EOS, "a", "b")
@@ -392,21 +402,145 @@ class TestBeamParity:
             assert [h.tokens[0] for h in hyps] == ["b"] * beam
             assert _bits(hyps) == _bits(reference_beam_search(model, ["s"], beam, 2))
 
-    def test_next_dist_batch_equals_stacked_next_dist(self):
-        prefixes = [[], ["a"], ["a", "b"], ["c", "a", "b", "b"], ["a"]]
+    SOURCES = (["s"], ["t", "u"], ["u"])
+
+    def _models(self):
         scripted = ScriptedModel(TOY_VOCAB, [np.full(5, 0.25) * (np.arange(5) > 0), [0, 0.5, 0, 0.5, 0]])
-        toy = random_toy_model(3, ["s"], order=3)
-        for model in (scripted, toy):
-            stacked = np.stack([model.next_dist(p, ["s"]) for p in prefixes])
-            for batch in (SeqModel.next_dist_batch(model, prefixes, ["s"]),
-                          model.next_dist_batch(prefixes, ["s"])):
+        toy = ToyCondModel(TOY_VOCAB, order=3, alpha=0.1)
+        for seed, src in enumerate(self.SOURCES):
+            toy.counts.update(random_toy_model(seed, src, order=3).counts)
+        assert len({toy.bucket(src) for src in self.SOURCES}) == len(self.SOURCES)
+        return scripted, toy
+
+    def _assert_rows_equal_next_dist(self, prefixes, srcs):
+        for model in self._models():
+            stacked = np.stack([model.next_dist(p, src) for p, src in zip(prefixes, srcs)])
+            for batch in (SeqModel.next_dist_batch(model, prefixes, srcs),
+                          model.next_dist_batch(prefixes, srcs)):
                 assert batch.shape == stacked.shape
                 assert batch.tobytes() == stacked.tobytes()
 
+    def test_next_dist_batch_equals_stacked_next_dist(self):
+        prefixes = [[], ["a"], ["a", "b"], ["c", "a", "b", "b"], ["a"]]
+        self._assert_rows_equal_next_dist(prefixes, [["s"]] * len(prefixes))
+
+    def test_next_dist_batch_interleaves_sources(self):
+        # a lock-step decode sends each source's rows together; any order
+        # of sources must answer row for row
+        prefixes = [[], ["a"], ["a", "b"], ["c", "a", "b", "b"], ["a"], ["b"], [], ["c"]]
+        srcs = [self.SOURCES[k] for k in (0, 1, 2, 0, 2, 1, 1, 0)]
+        self._assert_rows_equal_next_dist(prefixes, srcs)
+        self._assert_rows_equal_next_dist(prefixes, sorted(srcs))
+
+    def test_next_dist_batch_needs_one_source_per_prefix(self):
+        for model in self._models():
+            for batch in (SeqModel.next_dist_batch, type(model).next_dist_batch):
+                with pytest.raises(ValueError):
+                    batch(model, [[], ["a"]], [["s"]])
+                with pytest.raises(ValueError):
+                    batch(model, [[]], [["s"], ["t", "u"]])
+
+
+@st.composite
+def _batch_cases(draw):
+    """A model, 0-6 sources (repeats allowed; the toy model's counts put
+    some sources in buckets of their own and leave others unseen), a beam
+    size up to |vocab| + 2 and a max_len up to 8."""
+    pool = (["s"], ["t"], ["s", "t"], [], ["u", "v", "w"], ["v"])
+    vocab = draw(st.sampled_from([TOY_VOCAB, (BOS, EOS) + tuple(f"t{i}" for i in range(10))]))
+    if draw(st.booleans()):
+        model = ToyCondModel(vocab, order=draw(st.integers(1, 3)),
+                             alpha=draw(st.sampled_from([1e-4, 0.1, 1.0])))
+        for src in draw(st.lists(st.sampled_from(pool), max_size=4)):
+            counts = random_toy_model(draw(st.integers(0, 2**16)), src, vocab=vocab,
+                                      order=model.order, alpha=model.alpha).counts
+            model.counts.update(counts)
+    else:
+        weights = st.lists(st.integers(0, 3) | st.floats(0, 3),
+                           min_size=len(vocab), max_size=len(vocab))
+        model = ScriptedModel(vocab, [_dist_rows(vocab, draw(weights))
+                                      for _ in range(draw(st.integers(1, 9)))])
+    srcs = draw(st.lists(st.sampled_from(pool), max_size=6))
+    return model, srcs, draw(st.integers(1, len(vocab) + 2)), draw(st.integers(1, 8))
+
+
+class TestBeamSearchBatch:
+    @given(_batch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_each_source_matches_reference(self, case):
+        model, srcs, beam, max_len = case
+        beams = beam_search_batch(model, srcs, beam, max_len)
+        assert len(beams) == len(srcs)
+        for src, hyps in zip(srcs, beams):
+            assert _bits(hyps) == _bits(reference_beam_search(model, src, beam, max_len))
+
+    def test_exact_ties_capped_per_source(self):
+        # an unseen source's uniform rows retire one hypothesis a step while
+        # the trained source keeps its five slots over five tied tokens a
+        # row; each source's ties are capped by its own free slots
+        vocab = (BOS, EOS) + tuple(f"t{i}" for i in range(10))
+        model = ToyCondModel(vocab, order=1, alpha=0.1)
+        trained, unseen = ["s"], ["u", "v", "w"]
+        assert model.bucket(trained) != model.bucket(unseen)
+        model.counts[model.key([], trained)] = np.array([0, 0] + [5.0] * 5 + [0] * 5)
+        for srcs in ([trained, unseen], [unseen, trained], [unseen, trained, unseen]):
+            beams = beam_search_batch(model, srcs, 5, 3)
+            for src, hyps in zip(srcs, beams):
+                assert _bits(hyps) == _bits(reference_beam_search(model, src, 5, 3))
+
+    def test_invalid_args_with_no_sources(self):
+        m = deterministic_model(TOY_VOCAB, ["a"])
+        assert beam_search_batch(m, [], 1, 1) == []
+        with pytest.raises(ValueError):
+            beam_search_batch(m, [], 0, 4)
+        with pytest.raises(ValueError):
+            beam_search_batch(m, [], 1, 0)
+
+    def test_seq_kd_build_matches_per_sentence_loop(self, caplog):
+        # three chunks of decoded inputs, with failed ones spread among them
+        class Failing:
+            def translate(self, text, src_lang, tgt_lang):
+                if "bad" in text:
+                    raise AdapterError(f"boom on {text!r}")
+                return text + " ~de"
+
+        words = ("(", ")", "<V0>", "<V1>", ":ARG0", "want-01", "boy", "the", "a", "wants")
+        teacher = ToyCondModel(LINEAR_VOCAB, order=2, alpha=0.05, buckets=16)
+        rng = np.random.RandomState(5)
+        sents = []
+        for i in range(2 * DECODE_CHUNK + 7):
+            sent = " ".join(rng.choice(words[7:], rng.randint(0, 4)))
+            sents.append(f"bad {i}" if i in (3, 40, DECODE_CHUNK, DECODE_CHUNK + 1, 100) else sent)
+            if i % 3 == 0:
+                target = list(rng.choice(words[:7], rng.randint(0, 6))) + [EOS]
+                teacher.observe(sent.split(), target)
+        noise = NoiseSpec("mt_adapter", target_lang="DE")
+        with caplog.at_level(logging.WARNING, logger="amrkit.distill"):
+            records = seq_kd_build(teacher, sents, noise, beam_size=3, max_len=10,
+                                   translator=Failing())
+        skips = [r.getMessage() for r in caplog.records]
+
+        expected, expected_skips = [], []
+        for i, sent in enumerate(sents):
+            try:
+                src = Failing().translate(sent, "EN", "DE")
+            except AdapterError as exc:
+                expected_skips.append(f"kd input {i}: {exc}; skipped")
+                continue
+            top = reference_beam_search(teacher, sent.split(), 3, 10)[0]
+            expected.append(CorpusRecord(
+                id=f"kd-{i:06d}", lang="DE", split="train", src=src,
+                tgt=tuple(repair(strip_sentinels(top.tokens))), provenance="seq-kd",
+                meta={"src_en": sent, "noise": "mt_adapter"},
+            ))
+        assert len(expected_skips) == 5
+        assert skips == expected_skips
+        assert records == expected
+
 
 class TestSourceHashedOnce:
-    """``ToyCondModel`` keeps the hash of the last source it saw; a query
-    must answer as a fresh model would, whatever the source was before."""
+    """``ToyCondModel`` keeps the hashes of the sources it saw last; a query
+    must answer as a fresh model would, whatever the sources were before."""
 
     SOURCES = (["p", "q"], ["r"], ["q", "r", "p"])
 
@@ -423,7 +557,9 @@ class TestSourceHashedOnce:
         assert m.bucket(src) == fresh.bucket(src)
         for p in prefixes:
             assert m.next_dist(p, src).tobytes() == fresh.next_dist(p, src).tobytes()
-        assert m.next_dist_batch(prefixes, src).tobytes() == fresh.next_dist_batch(prefixes, src).tobytes()
+        srcs = [src] * len(prefixes)
+        assert (m.next_dist_batch(prefixes, srcs).tobytes()
+                == fresh.next_dist_batch(prefixes, srcs).tobytes())
 
     def test_sources_land_in_distinct_buckets(self):
         m = self._model()
@@ -671,6 +807,29 @@ class TestTrain:
         # one hard count on 'a' plus the teacher's soft distribution
         assert cell.sum() == pytest.approx(1.0 + 1.0, rel=1e-9)
         assert cell[student.index("a")] > 1.0
+
+    @pytest.mark.parametrize("objective", ["token_kd", "tok_plus_seq"])
+    def test_teacher_counts_match_per_token_loop(self, objective):
+        vocab = (BOS, EOS) + tuple(f"t{i}" for i in range(8))
+        sources = (("s",), ("t", "u"), ("u",), ())
+        teacher = ToyCondModel(vocab, order=3, alpha=1e-3, buckets=64)
+        for seed, src in enumerate(sources):
+            teacher.counts.update(random_toy_model(seed, list(src), vocab=vocab, order=3).counts)
+        rng = np.random.RandomState(9)
+        batches = [
+            KdBatch(tuple(
+                KdRecord(sources[rng.randint(4)], sources[rng.randint(4)],
+                         tuple(vocab[i] for i in rng.randint(2, len(vocab), rng.randint(0, 7)))
+                         + (EOS,))
+                for _ in range(5)
+            ))
+            for _ in range(4)
+        ]
+        student = train(ToyCondModel(vocab, order=2), batches, objective, teacher=teacher)
+        expected = reference_train(ToyCondModel(vocab, order=2), batches, objective, teacher)
+        assert student.counts.keys() == expected.counts.keys()
+        assert all(student.counts[k].tobytes() == expected.counts[k].tobytes()
+                   for k in expected.counts)
 
     def test_objective_validation(self):
         m = ToyCondModel(V4)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -224,6 +225,41 @@ class TestHillClimb:
     def test_restarts_validated(self):
         with pytest.raises(ValueError):
             smatch_hill_climb(WANT_BOY, WANT_BOY, restarts=0)
+
+    def test_reseeded_generator_matches_fresh_one(self):
+        # each thread reseeds one generator per call: interleaved seeds, and
+        # calls from more threads than cores, each give what a fresh
+        # RandomState gives
+        rng = np.random.RandomState(44)
+        pairs = [(random_graph(rng, 8), random_graph(rng, 8)) for _ in range(6)]
+        calls = [(i, seed) for seed in (0, 3, 7) for i in range(len(pairs))]
+        ref = {(i, seed): reference_smatch_hill_climb(*pairs[i], seed=seed) for i, seed in calls}
+        # the seed changes the result on these pairs, so a generator left in
+        # another call's state would show
+        assert any(ref[i, 0] != ref[i, 3] for i in range(len(pairs)))
+        got = [smatch_hill_climb(*pairs[i], seed=seed) for i, seed in calls]
+        assert got == [ref[c] for c in calls]
+
+        results = {}
+
+        def worker(t):
+            order = calls[t:] + calls[:t]
+            results[t] = (order, [smatch_hill_climb(*pairs[i], seed=seed) for i, seed in order])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        for order, got in results.values():
+            assert got == [ref[c] for c in order]
 
     def test_early_stop_matches_every_restart(self, monkeypatch):
         calls = []
