@@ -179,11 +179,14 @@ def _cmd_smatch(args) -> int:
 def _cmd_distill(args) -> int:
     teacher = ToyCondModel.load(args.teacher)
     noise = _parse_noise(args.noise, args.seed, args.lang)
-    sentences = [ln for ln in _read_lines(args.inputs) if ln.strip()]
+    lines = _read_lines(args.inputs)
+    sentences = [ln for ln in lines if ln.strip()]
     records = seq_kd_build(teacher, sentences, noise, beam_size=args.beam, max_len=args.max_len)
     write_corpus_jsonl(args.out, records)
+    blank = len(lines) - len(sentences)
     print(f"# seed: {args.seed}")
-    print(f"built {len(records)} records ({len(sentences) - len(records)} skipped) -> {args.out}")
+    print(f"built {len(records)} records ({len(sentences) - len(records)} skipped, "
+          f"{blank} blank line{'s' * (blank != 1)}) -> {args.out}")
     return 0
 
 
@@ -286,7 +289,7 @@ def build_parser() -> _Parser:
 
     p = add("distill", _cmd_distill, help="build sequence-level KD data from a teacher")
     p.add_argument("--teacher", required=True)
-    p.add_argument("--inputs", required=True)
+    p.add_argument("--inputs", required=True, help="sentence lines; ids count non-blank lines")
     p.add_argument("--noise", default="none", help="none | mt | delete:K")
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--max-len", dest="max_len", type=int, default=64)

@@ -172,14 +172,16 @@ class AmrGraph:
 # Tokenization
 
 _META_FIELD_RE = re.compile(r"::(\S+)")
-_PENMAN_TOKEN_RE = re.compile(rf'[()/]|{QUOTED_RE.pattern}|{_BARE}|"')
+_PENMAN_TOKEN_RE = re.compile(rf'\s*([()/]|{QUOTED_RE.pattern}|{_BARE}|")')
 
 
 def _tokenize_penman(text: str) -> list[str]:
-    """Split a PENMAN body into tokens: parens, slashes, quoted strings
-    (kept whole, backslash escapes honored), and bare atoms.  A quote that
-    no closing quote matches comes back alone and is rejected."""
-    tokens = _PENMAN_TOKEN_RE.findall(text)
+    r"""Split a PENMAN body into tokens: parens, slashes, quoted strings
+    (kept whole, backslash escapes honored), and bare atoms, each match
+    taking the whitespace before its token.  Trailing whitespace, which
+    ``\s*`` would rescan from each of its characters, is stripped first.
+    A quote that no closing quote matches comes back alone and is rejected."""
+    tokens = _PENMAN_TOKEN_RE.findall(text.rstrip())
     if '"' in tokens:
         raise MalformedPenman("unterminated string literal")
     return tokens
@@ -235,58 +237,49 @@ def parse_penman(text: str) -> AmrGraph:
     if not tokens:
         raise MalformedPenman("empty input")
 
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise MalformedPenman("unexpected end of input (unbalanced parentheses)")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
     concepts: dict[str, str] = {}
     # (src_var, label, raw_target) in textual order
     raw_edges: list[tuple[str, str, str]] = []
-
-    def open_node() -> str:
-        tok = take()
-        if tok != "(":
-            raise MalformedPenman(f"expected '(' but found {tok!r}")
-        var = take()
-        if var in "()/" or QUOTED_RE.fullmatch(var):
-            raise MalformedPenman(f"expected variable name, found {var!r}")
-        if take() != "/":
-            raise MalformedPenman(f"missing '/' after variable {var!r}")
-        concept = take()
-        if concept in "()/" or QUOTED_RE.fullmatch(concept):
-            raise MalformedPenman(f"missing concept after '/' for {var!r}")
-        if var in concepts:
-            raise MalformedPenman(f"duplicate definition of variable {var!r}")
-        concepts[var] = concept
-        return var
-
-    root = open_node()
-    stack = [root]  # variables of the open nodes, innermost last
-    while stack:
-        label = take()
-        if label == ")":
-            stack.pop()
-            continue
-        if not label.startswith(":") or label == ":":
-            raise MalformedPenman(f"expected relation or ')', found {label!r}")
-        val = peek()
-        if val == "(":
-            child = open_node()
-            raw_edges.append((stack[-1], label, child))
-            stack.append(child)
-        elif val is None or val == ")" or val == "/" or val.startswith(":"):
-            raise MalformedPenman(f"relation {label!r} has no value")
-        else:
-            raw_edges.append((stack[-1], label, take()))
+    stack: list[str] = []  # variables of the open nodes, innermost last
+    pos = 0
+    try:
+        while True:  # tokens[pos] opens a group: the root or a relation's value
+            if tokens[pos] != "(":
+                raise MalformedPenman(f"expected '(' but found {tokens[pos]!r}")
+            var = tokens[pos + 1]
+            if var in "()/" or QUOTED_RE.fullmatch(var):
+                raise MalformedPenman(f"expected variable name, found {var!r}")
+            if tokens[pos + 2] != "/":
+                raise MalformedPenman(f"missing '/' after variable {var!r}")
+            concept = tokens[pos + 3]
+            if concept in "()/" or QUOTED_RE.fullmatch(concept):
+                raise MalformedPenman(f"missing concept after '/' for {var!r}")
+            if var in concepts:
+                raise MalformedPenman(f"duplicate definition of variable {var!r}")
+            concepts[var] = concept
+            if stack:
+                raw_edges.append((stack[-1], tokens[pos - 1], var))
+            stack.append(var)
+            pos += 4
+            while stack:  # relations and ')' up to the next group
+                label = tokens[pos]
+                pos += 1
+                if label == ")":
+                    stack.pop()
+                    continue
+                if not label.startswith(":") or label == ":":
+                    raise MalformedPenman(f"expected relation or ')', found {label!r}")
+                val = tokens[pos] if pos < len(tokens) else ")"  # at the end: no value
+                if val == "(":
+                    break
+                if val == ")" or val == "/" or val.startswith(":"):
+                    raise MalformedPenman(f"relation {label!r} has no value")
+                raw_edges.append((stack[-1], label, val))
+                pos += 1
+            else:
+                break
+    except IndexError:
+        raise MalformedPenman("unexpected end of input (unbalanced parentheses)") from None
     if pos != len(tokens):
         raise MalformedPenman(f"trailing content after graph: {tokens[pos]!r}")
 
@@ -308,7 +301,7 @@ def parse_penman(text: str) -> AmrGraph:
         _check_atoms(nodes)
     except ValueError as exc:
         raise MalformedPenman(str(exc)) from exc
-    return AmrGraph(tuple(nodes), tuple(edges), root, meta)
+    return AmrGraph(tuple(nodes), tuple(edges), nodes[0].id, meta)  # the root comes first
 
 
 # ---------------------------------------------------------------------------

@@ -197,4 +197,4 @@ _LINE_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|[^\s"]+', re.S)
 def from_line(line: str) -> list[str]:
     """Whitespace tokenizer, except that a double-quoted span (with backslash
     escapes) is one token; an unterminated quote runs to end of line."""
-    return _LINE_TOKEN_RE.findall(line)
+    return _LINE_TOKEN_RE.findall(line) if '"' in line else line.split()

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -12,8 +16,9 @@ import numpy as np
 
 from amrkit.decode import BeamHypothesis
 
+import amrkit
 from amrkit import _match
-from amrkit.graph import AmrGraph, Edge, Node, to_triples
+from amrkit.graph import ATOM_RE, LABEL_RE, QUOTED_RE, VAR_TOKEN_RE, AmrGraph, Edge, Node, to_triples
 from amrkit.seqmodel import BOS, EOS, SeqModel, ToyCondModel
 from amrkit.smatch import SmatchResult, _norm_const, _Problem, _random_init, _smart_init
 
@@ -35,6 +40,40 @@ RELATIONS = (":ARG0", ":ARG1", ":ARG2", ":mod", ":op1", ":op2", ":time", ":locat
 CONSTANT_LITERALS = ("-", "+", "1", "2", "imperative", '"New York"', '"a b"')
 
 TOY_VOCAB = (BOS, EOS, "a", "b", "c")
+
+# Reference forms of the text layer's tokenizers and token classes: each
+# tokenizer as one findall pattern that skips whitespace by failing to
+# match it, and the token classes tried one pattern at a time.
+REFERENCE_PENMAN_TOKEN_RE = re.compile(rf'[()/]|{QUOTED_RE.pattern}|[^\s()/"]+|"')
+REFERENCE_LINE_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|[^\s"]+', re.S)
+# Text for the tokenizer differentials: structural characters, letters and
+# ASCII and Unicode whitespace (all of them ``str.isspace``).
+TOKENIZER_ALPHABET = '()/":\\abxV<>0' + " \t\n\r\x1c\x85\u3000"
+
+
+def reference_classify(tok: str) -> str:
+    if tok == "(":
+        return "open"
+    if tok == ")":
+        return "close"
+    if VAR_TOKEN_RE.fullmatch(tok):
+        return "var"
+    if QUOTED_RE.fullmatch(tok) or ATOM_RE.fullmatch(tok):
+        return "lit"
+    return "rel" if LABEL_RE.fullmatch(tok) else "junk"
+
+
+def seconds_in_fresh_process(setup: str, stmt: str, timeout: float = 30.0) -> float:
+    """Seconds that ``stmt`` takes in a fresh interpreter after ``setup``
+    (both Python source, with ``amrkit`` importable).  The interpreter is
+    killed after ``timeout`` seconds, which fails the test: a scan that is
+    quadratic in its input would otherwise hold the suite for hours."""
+    code = f"import time\n{setup}\nt0 = time.perf_counter()\n{stmt}\nprint(time.perf_counter() - t0)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amrkit.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout, env=env)
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout)
 
 
 def counting_adapter(tmp_path: Path, drop_second: bool = False) -> tuple[str, Path]:

@@ -354,6 +354,20 @@ class TestPipelineCommands:
         assert len(records) == 3
         assert all(r.provenance == "seq-kd" for r in records)
 
+    def test_distill_counts_blank_lines(self, tmp_path, capsys):
+        teacher = self._toy_teacher(tmp_path)
+        inputs, out = tmp_path / "en.txt", tmp_path / "kd.jsonl"
+        inputs.write_text("the boy\n\n  \nwants\n")
+        assert run(["distill", "--teacher", str(teacher), "--inputs", str(inputs),
+                    "--out", str(out)]) == 0
+        assert f"built 2 records (0 skipped, 2 blank lines) -> {out}" in capsys.readouterr().out
+        # ids count the non-blank lines
+        assert [r.id for r in read_corpus_jsonl(str(out))] == ["kd-000000", "kd-000001"]
+        inputs.write_text("the boy\n\n")
+        assert run(["distill", "--teacher", str(teacher), "--inputs", str(inputs),
+                    "--out", str(out)]) == 0
+        assert "built 1 records (0 skipped, 1 blank line) ->" in capsys.readouterr().out
+
     def test_distill_byte_deterministic(self, tmp_path):
         teacher = self._toy_teacher(tmp_path)
         inputs = tmp_path / "en.txt"

@@ -20,7 +20,13 @@ from amrkit.graph import (
 )
 from amrkit.linearize import delinearize, from_line, linearize, to_line
 
-from .helpers import random_graph, rename_vars
+from .helpers import (
+    REFERENCE_PENMAN_TOKEN_RE,
+    TOKENIZER_ALPHABET,
+    random_graph,
+    rename_vars,
+    seconds_in_fresh_process,
+)
 
 WANT_BOY = "(w / want-01 :ARG0 (b / boy))"
 
@@ -138,6 +144,53 @@ class TestParse:
         for text in ('a "x', 'a "x\\"', 'a "x\\'):
             with pytest.raises(MalformedPenman, match="unterminated string literal"):
                 _tokenize_penman(text)
+
+    @given(st.text(TOKENIZER_ALPHABET, max_size=60))
+    @settings(max_examples=1000, deadline=None)
+    def test_tokenizer_matches_reference(self, text):
+        tokens = REFERENCE_PENMAN_TOKEN_RE.findall(text)
+        if '"' in tokens:
+            with pytest.raises(MalformedPenman, match="^unterminated string literal$"):
+                _tokenize_penman(text)
+        else:
+            assert _tokenize_penman(text) == tokens
+
+    def test_trailing_whitespace_costs_linear_time(self):
+        # each match skips the whitespace before its token; trailing
+        # whitespace, with no token after it, would be rescanned from each
+        # of its characters (hours for this input) unless it is stripped
+        setup = "from amrkit.graph import parse_penman, serialize_penman"
+        stmt = "assert serialize_penman(parse_penman('(a / b)' + ' ' * 10**6)) == '(a / b)'"
+        assert seconds_in_fresh_process(setup, stmt) < 2
+
+    def test_every_prefix_message(self):
+        """Each proper prefix of a multi-line graph raises MalformedPenman
+        with the message pinned here, and no cause."""
+        text = (
+            '# ::id 1\n(w / want-01\n   :ARG0 (b / boy)\n   :ARG1 (g / go-02\n'
+            '      :ARG0 b\n      :name "New York"))'
+        )
+        end = "unexpected end of input (unbalanced parentheses)"
+
+        def typing(rel):  # the prefixes that end in ``rel`` or the space after it
+            return ([("expected relation or ')', found ':'", 1)]
+                    + [(f"relation {rel[:k]!r} has no value", 1) for k in range(2, len(rel))]
+                    + [(f"relation {rel!r} has no value", 2)])
+
+        runs = [("empty input", 10), (end, 16), *typing(":ARG0"), (end, 13), *typing(":ARG1"),
+                (end, 17), *typing(":ARG0"), (end, 8), *typing(":name"),
+                ("unterminated string literal", 9), (end, 2)]
+        expected = [message for message, count in runs for _ in range(count)]
+        assert len(expected) == len(text)
+        for k, message in enumerate(expected):
+            with pytest.raises(MalformedPenman) as info:
+                parse_penman(text[:k])
+            assert type(info.value) is MalformedPenman
+            assert (k, str(info.value)) == (k, message)
+            assert info.value.__cause__ is None
+        assert serialize_penman(parse_penman(text)) == (
+            '# ::id 1\n(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b :name "New York"))'
+        )
 
     def test_reentrancy_single_node_many_edges(self):
         g = parse_penman("(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))")

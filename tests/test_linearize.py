@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from amrkit.graph import parse_penman, serialize_penman
 from amrkit.linearize import (
     InvalidLinearization,
+    classify,
     delinearize,
     from_line,
     linearize,
@@ -15,7 +16,13 @@ from amrkit.linearize import (
 from amrkit.repair import RepairReport, repair_with_report
 from amrkit.smatch import smatch_exact
 
-from .helpers import random_graph
+from .helpers import (
+    REFERENCE_LINE_TOKEN_RE,
+    TOKENIZER_ALPHABET,
+    random_graph,
+    reference_classify,
+    seconds_in_fresh_process,
+)
 
 
 def graphs(**kwargs):
@@ -196,3 +203,24 @@ class TestLineFormat:
 
     def test_non_ascii_whitespace_separates(self):
         assert from_line("a\u3000b\x1cc\x85d") == ["a", "b", "c", "d"]
+
+    @given(st.text(TOKENIZER_ALPHABET, max_size=60))
+    @settings(max_examples=1000, deadline=None)
+    def test_from_line_matches_reference(self, line):
+        assert from_line(line) == REFERENCE_LINE_TOKEN_RE.findall(line)
+
+    @pytest.mark.parametrize("line, tokens", [
+        ("'a' + ' ' * 10**6", "['a']"),
+        # an unterminated quote runs to the end of the line, spaces and all
+        ("'\"a' + ' ' * 10**6", "['\"a' + ' ' * 10**6]"),
+    ], ids=["plain", "unterminated-quote"])
+    def test_trailing_whitespace_costs_linear_time(self, line, tokens):
+        setup = f"from amrkit.linearize import from_line\nline = {line}\ntokens = {tokens}"
+        assert seconds_in_fresh_process(setup, "assert from_line(line) == tokens") < 2
+
+
+class TestTokenClasses:
+    @given(st.text(TOKENIZER_ALPHABET, max_size=8))
+    @settings(max_examples=1000, deadline=None)
+    def test_classify_matches_reference(self, tok):
+        assert classify(tok) == reference_classify(tok)

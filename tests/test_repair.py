@@ -164,6 +164,15 @@ class TestScenarios:
         g = delinearize(FALLBACK)
         assert g.node(g.root).concept == "amr-empty"
 
+    def test_variable_index_read_from_any_decimal_digits(self):
+        # \d matches any decimal digit: <V٣> is variable 3, and <V٠٠> is
+        # variable 0, which <V0> mentions
+        fixed, rep = repair_with_report(
+            ["(", "<V٣>", "a", ":ARG0", "<V٣>", ":ARG1", "(", "<V٠٠>", "b", ":mod", "<V0>", ")", ")"]
+        )
+        assert to_line(fixed) == "( <V0> a :ARG0 <V0> :ARG1 ( <V1> b :mod <V1> ) )"
+        assert rep.as_dict() == RepairReport(vars_renumbered=4).as_dict()
+
 
 class TestProperties:
     @given(fuzz_tokens)
