@@ -29,7 +29,7 @@ from .decode import beam_search  # perfbench's tracer wraps distill.beam_search;
 from .errors import AmrkitError
 from .pipeline import AdapterError, CorpusRecord, NoiseSpec, noise_each
 from .repair import repair
-from .seqmodel import EOS, SeqModel, ToyCondModel
+from .seqmodel import EOS, SeqModel, ToyCondModel, check_ends_with_eos
 
 __all__ = [
     "ZeroProbability",
@@ -80,16 +80,14 @@ class KdBatch:
 
 
 def _check_target(model: SeqModel, target: Sequence[str]) -> None:
-    if not target or target[-1] != EOS:
-        raise ValueError("target sequence must end with EOS")
+    check_ends_with_eos(target)
     for tok in target:
         model.index(tok)
 
 
 def mle_loss(model: SeqModel, src: Sequence[str], target: Sequence[str]) -> float:
     """Negative log-likelihood of the target under teacher forcing."""
-    if not target or target[-1] != EOS:
-        raise ValueError("target sequence must end with EOS")
+    check_ends_with_eos(target)
     total = 0.0
     for t, token in enumerate(target):
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import AmrkitError
 
@@ -140,28 +140,38 @@ class AmrGraph:
                 raise ValueError(f"edge {e} names a missing node")
             if self.node(e.src).constant:
                 raise ValueError(f"constant node {e.src!r} has an outgoing edge")
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            for e in self.outgoing(stack.pop()):
-                if e.tgt not in seen:
-                    seen.add(e.tgt)
-                    stack.append(e.tgt)
-        self.check_reached(seen)
+        for _ in self.walk():
+            pass
         return self
 
-    def check_reached(self, expanded: Collection[str]) -> None:
-        """The reachability rule, after a walk from the root that expanded
-        the nodes ``expanded`` and so every variable they point at: a node
-        is reached if the walk expanded it or it is a constant an expanded
-        variable points at.  Raises ValueError naming the rest, or on
-        duplicate node identifiers, which a walk keyed by id cannot see."""
+    def walk(self) -> Iterator[tuple[str | None, Node, bool] | None]:
+        """The depth-first, first-visit walk from the root that every writer
+        formats.  Steps are ``(label, node, opens)``: the root comes first,
+        with label None; then each edge of an open node, in edge-list order,
+        whose target opens (and its edges follow) if it is a variable not
+        reached before; a ``None`` step closes the innermost open node.
+        After the last step, raises ValueError on duplicate node
+        identifiers, which a walk keyed by id cannot see, or naming the
+        nodes not reached: neither opened nor the target of an edge of an
+        opened node."""
+        reached = {self.root}
+        yield None, self.node(self.root), True
+        stack = [iter(self.outgoing(self.root))]  # remaining edges of the open nodes
+        while stack:
+            for e in stack[-1]:
+                tgt = self.node(e.tgt)
+                opens = not (tgt.constant or e.tgt in reached)
+                reached.add(e.tgt)
+                yield e.label, tgt, opens
+                if opens:
+                    stack.append(iter(self.outgoing(e.tgt)))
+                    break
+            else:
+                stack.pop()
+                yield None
         self._check_unique_ids()
-        reached = {e.tgt for e in self.edges if e.src in expanded}
-        reached.update(expanded)
         if len(reached) != len(self._by_id):
-            missing = sorted(self._by_id.keys() - reached)
-            raise ValueError(f"nodes unreachable from root: {missing}")
+            raise ValueError(f"nodes unreachable from root: {sorted(self._by_id.keys() - reached)}")
 
     def _check_unique_ids(self) -> None:
         if len(self._by_id) != len(self.nodes):
@@ -172,6 +182,7 @@ class AmrGraph:
 # Tokenization
 
 _META_FIELD_RE = re.compile(r"::(\S+)")
+_META_KEY_RE = re.compile(r"\S+")
 _PENMAN_TOKEN_RE = re.compile(rf'\s*([()/]|{QUOTED_RE.pattern}|{_BARE}|")')
 
 
@@ -217,6 +228,18 @@ def _split_metadata(text: str) -> tuple[dict[str, str], str]:
     return meta, text[start:]
 
 
+def _metadata_header(meta: dict[str, str]) -> str:
+    """The ``# ::key value`` lines that ``_split_metadata`` reads back as
+    ``meta``.  Raises ValueError naming the first key that is not a string
+    of non-whitespace characters, or whose value is not a string without
+    line breaks, outer whitespace or a ``::`` field marker."""
+    for k, v in meta.items():
+        if not (isinstance(k, str) and _META_KEY_RE.fullmatch(k) and isinstance(v, str)
+                and "\n" not in v and v == v.strip() and not _META_FIELD_RE.search(v)):
+            raise ValueError(f"metadata field {k!r} does not read back as a '# ::' line")
+    return "".join(f"# ::{k} {v}\n" for k, v in meta.items())
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -247,12 +270,12 @@ def parse_penman(text: str) -> AmrGraph:
             if tokens[pos] != "(":
                 raise MalformedPenman(f"expected '(' but found {tokens[pos]!r}")
             var = tokens[pos + 1]
-            if var in "()/" or QUOTED_RE.fullmatch(var):
+            if var in "()/" or var.startswith('"'):
                 raise MalformedPenman(f"expected variable name, found {var!r}")
             if tokens[pos + 2] != "/":
                 raise MalformedPenman(f"missing '/' after variable {var!r}")
             concept = tokens[pos + 3]
-            if concept in "()/" or QUOTED_RE.fullmatch(concept):
+            if concept in "()/" or concept.startswith('"'):
                 raise MalformedPenman(f"missing concept after '/' for {var!r}")
             if var in concepts:
                 raise MalformedPenman(f"duplicate definition of variable {var!r}")
@@ -309,15 +332,16 @@ def parse_penman(text: str) -> AmrGraph:
 
 def serialize_penman(g: AmrGraph) -> str:
     """Render a graph as a single-line PENMAN string (plus metadata header
-    lines when present).  The first mention of a node is expanded; later
-    mentions emit the variable only.  Whitespace is normalized.
+    lines when present), formatting the steps of ``AmrGraph.walk``: a node
+    that opens is written ``(name / concept``, a later mention of a
+    variable as its name and a constant as its literal.  Whitespace is
+    normalized.
 
     A variable named like a bare constant of the graph would read back as a
     mention of that variable, so it is written with ``_`` appended until
-    its name is free.  Unreachable nodes raise ValueError."""
-    visited: set[str] = set()
-    parts: list[str] = []
-    stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
+    its name is free.  Metadata that would not read back as written, and
+    the walk's unreachable nodes and duplicate ids, raise ValueError."""
+    header = _metadata_header(g.metadata)
     names: dict[str, str] = {}  # variables written under another name
     taken = {n.concept for n in g.nodes if n.constant}
     for n in g.var_nodes():
@@ -329,30 +353,17 @@ def serialize_penman(g: AmrGraph) -> str:
             taken.add(name)
             names[n.id] = name
 
-    def expand(node_id: str) -> None:
-        node = g.node(node_id)
-        visited.add(node_id)
-        parts.append(f"({names.get(node_id, node_id)} / {node.concept}")
-        stack.append(iter(g.outgoing(node_id)))
-
-    expand(g.root)
-    while stack:
-        for e in stack[-1]:
-            tgt = g.node(e.tgt)
-            if tgt.constant:
-                parts.append(f" {e.label} {tgt.concept}")
-            elif e.tgt in visited:
-                parts.append(f" {e.label} {names.get(e.tgt, e.tgt)}")
-            else:
-                parts.append(f" {e.label} ")
-                expand(e.tgt)
-                break
-        else:
+    parts: list[str] = []
+    for step in g.walk():
+        if step is None:
             parts.append(")")
-            stack.pop()
-
-    g.check_reached(visited)
-    header = "".join(f"# ::{k} {v}\n" for k, v in g.metadata.items())
+            continue
+        label, node, opens = step
+        if opens:
+            text = f"({names.get(node.id, node.id)} / {node.concept}"
+        else:
+            text = node.concept if node.constant else names.get(node.id, node.id)
+        parts.append(text if label is None else f" {label} {text}")
     return header + "".join(parts)
 
 

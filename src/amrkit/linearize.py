@@ -12,7 +12,6 @@ and the graph is recoverable without loss.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 from .errors import AmrkitError
 from .graph import ATOM_RE, LABEL_RE, QUOTED_RE, VAR_TOKEN_RE, AmrGraph, Edge, Node
@@ -72,35 +71,24 @@ def classify(tok: str) -> str:
 
 
 def linearize(g: AmrGraph) -> list[str]:
-    """Depth-first linearization from the root, visiting each node's children
-    in edge-list order.  The first visit of a node expands it; later visits
-    emit its variable token only.  Constants are emitted inline.
-    Unreachable nodes raise ValueError (``AmrGraph.check_reached``)."""
+    """The tokens of the steps of ``AmrGraph.walk``: a node that opens is
+    written ``( <Vk> concept``, numbered in the order the nodes open, a
+    later mention of a variable as its token and a constant inline.  The
+    walk's unreachable nodes and duplicate ids raise ValueError."""
     index: dict[str, int] = {}
     tokens: list[str] = []
-    stack: list[Iterator[Edge]] = []  # remaining edges of the open nodes
-
-    def expand(node_id: str) -> None:
-        index[node_id] = len(index)
-        tokens.extend(["(", var_token(index[node_id]), g.node(node_id).concept])
-        stack.append(iter(g.outgoing(node_id)))
-
-    expand(g.root)
-    while stack:
-        for e in stack[-1]:
-            tokens.append(e.label)
-            tgt = g.node(e.tgt)
-            if tgt.constant:
-                tokens.append(tgt.concept)
-            elif e.tgt in index:
-                tokens.append(var_token(index[e.tgt]))
-            else:
-                expand(e.tgt)
-                break
-        else:
+    for step in g.walk():
+        if step is None:
             tokens.append(")")
-            stack.pop()
-    g.check_reached(index)
+            continue
+        label, node, opens = step
+        if label is not None:
+            tokens.append(label)
+        if opens:
+            index[node.id] = len(index)
+            tokens += ("(", var_token(index[node.id]), node.concept)
+        else:
+            tokens.append(node.concept if node.constant else var_token(index[node.id]))
     return tokens
 
 

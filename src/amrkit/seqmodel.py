@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["BOS", "EOS", "MAX_ORDER", "SeqModel", "ToyCondModel", "stable_hash"]
+__all__ = ["BOS", "EOS", "MAX_ORDER", "SeqModel", "ToyCondModel", "check_ends_with_eos", "stable_hash"]
 
 BOS = "<s>"
 EOS = "</s>"
@@ -43,6 +43,12 @@ _SOURCE_CACHE = 256
 def stable_hash(text: str) -> int:
     """Process-independent 32-bit hash (unlike builtin ``hash``)."""
     return zlib.crc32(text.encode("utf-8"))
+
+
+def check_ends_with_eos(target: Sequence[str]) -> None:
+    """Raise ValueError unless ``target`` is a non-empty sequence ending in EOS."""
+    if not target or target[-1] != EOS:
+        raise ValueError("target sequence must end with EOS")
 
 
 class SeqModel(ABC):
@@ -181,8 +187,7 @@ class ToyCondModel(SeqModel):
 
     def observe(self, src: Sequence[str], target: Sequence[str]) -> None:
         """Count one teacher-forced pass over a target ending in EOS."""
-        if not target or target[-1] != EOS:
-            raise ValueError("target sequence must end with EOS")
+        check_ends_with_eos(target)
         for t, token in enumerate(target):
             if token == BOS:
                 raise ValueError("target sequence may not contain BOS")

@@ -251,6 +251,18 @@ class TestRoundTripCommands:
         assert [row["penman"] for row in rows] == [f'(a / b :name "{inner}")', "(c / d)"]
         assert rows[0]["metadata"] == {"snt": 'say "hi'}
 
+    @pytest.mark.parametrize("metadata", [
+        {"snt": "x\n(z / y)"}, {"snt": "a ::id b"}, {"my key": "v"}, {"snt": " padded"}, {"id": 5},
+    ], ids=repr)
+    def test_serialize_rejects_metadata_that_does_not_read_back(self, tmp_path, capsys, metadata):
+        src = tmp_path / "g.jsonl"
+        src.write_text(json.dumps({"penman": "(a / b)", "metadata": metadata}) + "\n")
+        out = tmp_path / "g.amr"
+        assert run(["serialize", "--in", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"amrkit: error: metadata field {next(iter(metadata))!r}")
+        assert not out.exists()
+
     def test_parse_serialize(self, amr_file, tmp_path):
         parsed = tmp_path / "parsed.jsonl"
         back = tmp_path / "back.amr"

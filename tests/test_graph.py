@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,20 +254,96 @@ class TestSerialize:
         assert text == "(w / want-01 :ARG0 (b / boy) :ARG1 (g / go-02 :ARG0 b))"
         assert canonical(parse_penman(text)) == canonical(g)
 
-    @pytest.mark.parametrize("walk", [linearize, serialize_penman, AmrGraph.check],
-                             ids=["linearize", "serialize_penman", "check"])
+    @pytest.mark.parametrize("walk", [linearize, serialize_penman, AmrGraph.check,
+                                      lambda g: list(g.walk())],
+                             ids=["linearize", "serialize_penman", "check", "walk"])
     def test_unreachable_node_rejected(self, walk):
         g = AmrGraph((Node("a", "x"), Node("b", "y")), (), "a")
         with pytest.raises(ValueError, match=r"^nodes unreachable from root: \['b'\]$"):
             walk(g)
 
-    @pytest.mark.parametrize("walk", [linearize, serialize_penman, AmrGraph.check],
-                             ids=["linearize", "serialize_penman", "check"])
+    @pytest.mark.parametrize("walk", [linearize, serialize_penman, AmrGraph.check,
+                                      lambda g: list(g.walk())],
+                             ids=["linearize", "serialize_penman", "check", "walk"])
     def test_duplicate_node_id_rejected(self, walk):
         # a walk keyed by id would see one node "a" and drop the other
         g = AmrGraph((Node("a", "x"), Node("a", "y")), (), "a")
         with pytest.raises(ValueError, match=r"^duplicate node identifiers$"):
             walk(g)
+
+    @pytest.mark.parametrize("metadata", [
+        {"snt": "x\n(z / y)"},  # a line break ends the header line
+        {"snt": "a ::id b"},  # a field marker starts another field
+        {"my key": "v"},  # the key ends at the first space
+        {"snt": " padded"},  # outer whitespace is stripped on reading
+        {"id": 5},  # only strings are written
+        {"": "v"},
+        {5: "v"},
+    ], ids=repr)
+    def test_metadata_that_does_not_read_back_rejected(self, metadata):
+        g = AmrGraph((Node("a", "b"),), (), "a", {"ok": "fine", **metadata})
+        key = re.escape(repr(next(iter(metadata))))
+        with pytest.raises(ValueError, match=rf"^metadata field {key} "):
+            serialize_penman(g)
+
+    @given(st.dictionaries(
+        st.one_of(st.text(max_size=6), st.sampled_from(["id", "::", "a::b"])),
+        st.one_of(st.text(max_size=8), st.sampled_from(["a ::b", "a ::", ":: b", "x\x85"])),
+        max_size=3,
+    ))
+    @settings(max_examples=500, deadline=None)
+    def test_metadata_reads_back_or_raises(self, metadata):
+        g = AmrGraph((Node("a", "b"),), (), "a", metadata)
+        try:
+            text = serialize_penman(g)
+        except ValueError as exc:
+            assert str(exc).startswith("metadata field ")
+            return
+        assert parse_penman(text).metadata == metadata
+
+    @given(st.lists(st.text(st.sampled_from([":", " ", "\t", "\r", "\x85", "#", "a", "b"]),
+                            max_size=12).map("#".__add__), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_every_header_read_writes_back(self, lines):
+        g = parse_penman("\n".join([*lines, "(a / b)"]))
+        assert parse_penman(serialize_penman(g)).metadata == g.metadata
+
+
+class TestWalk:
+    @given(st.one_of(graphs(), literal_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_steps_cover_each_edge_once_in_first_visit_order(self, g):
+        steps = list(g.walk())
+        assert steps[0] == (None, g.node(g.root), True)
+        opened, open_ids = [], []
+        walked: dict[str, list[tuple[str, str]]] = {}
+        for step in steps:
+            if step is None:
+                open_ids.pop()
+                continue
+            label, node, opens = step
+            if label is not None:
+                walked[open_ids[-1]].append((label, node.id))
+            if opens:
+                opened.append(node)
+                open_ids.append(node.id)
+                walked[node.id] = []
+        assert not open_ids
+        # one opening and one closing step per variable, the root first
+        assert [n.id for n in opened][0] == g.root
+        assert sorted(n.id for n in opened) == sorted(n.id for n in g.var_nodes())
+        assert steps.count(None) == len(g.var_nodes())
+        # every edge once, each node's in edge-list order
+        assert sum(map(len, walked.values())) == len(g.edges)
+        for node_id, pairs in walked.items():
+            assert pairs == [(e.label, e.tgt) for e in g.outgoing(node_id)]
+        # the writers number and define the variables in the order they open
+        tokens = linearize(g)
+        defined = [(tokens[i + 1], tokens[i + 2]) for i, tok in enumerate(tokens) if tok == "("]
+        assert defined == [(f"<V{k}>", n.concept) for k, n in enumerate(opened)]
+        groups = parse_penman(serialize_penman(g)).var_nodes()
+        assert [n.concept for n in groups] == [n.concept for n in opened]
+        assert all(w.id == n.id + "_" * (len(w.id) - len(n.id)) for w, n in zip(groups, opened))
 
 
 class TestTriples:

@@ -195,6 +195,18 @@ class TestMleLoss:
         with pytest.raises(ValueError):
             mle_loss(ToyCondModel(V4), ["x"], ["a"])
 
+    @pytest.mark.parametrize("target", [[], ["a"], [EOS, "a"]])
+    @pytest.mark.parametrize("call", [
+        lambda y: mle_loss(ToyCondModel(V4), ["x"], y),
+        lambda y: token_kd_loss(ToyCondModel(V4), ToyCondModel(V4), ["x"], ["x"], y),
+        lambda y: ToyCondModel(V4).observe(["x"], y),
+    ], ids=["mle_loss", "token_kd_loss", "observe"])
+    def test_one_eos_rule(self, call, target):
+        with pytest.raises(ValueError) as info:
+            call(target)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "target sequence must end with EOS"
+
     def test_equals_sum_of_independent_step_scores(self):
         m = random_toy_model(5, ["s"])
         y = ["a", "c", "b", EOS]
