@@ -25,7 +25,7 @@ from .graph import (
     serialize_penman,
     split_lines,
 )
-from .linearize import delinearize, from_line, linearize, to_line
+from .linearize import InvalidLinearization, delinearize, from_line, linearize, to_line
 from .pipeline import (
     AdapterError,
     HashEmbedding,
@@ -91,7 +91,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_serialize(args) -> int:
-    graphs = []
+    texts = []
     for lineno, line in enumerate(_read_lines(args.infile), 1):
         if not line.strip():
             continue
@@ -103,11 +103,11 @@ def _cmd_serialize(args) -> int:
             if not isinstance(meta, dict):
                 raise AmrkitError('"metadata" is not a JSON object')
             g = parse_penman(obj["penman"])
+            g.metadata.update(meta)
+            texts.append(serialize_penman(g))
         except (ValueError, AmrkitError) as exc:
             raise AmrkitError(f"{args.infile}:{lineno}: {exc}") from exc
-        g.metadata.update(meta)
-        graphs.append(g)
-    _write_text(args.out, graphs_to_text(graphs))
+    _write_text(args.out, "\n\n".join(texts) + "\n")  # as graphs_to_text joins them
     return 0
 
 
@@ -118,7 +118,14 @@ def _cmd_linearize(args) -> int:
 
 
 def _cmd_delinearize(args) -> int:
-    graphs = [delinearize(from_line(ln)) for ln in _read_lines(args.infile) if ln.strip()]
+    graphs = []
+    for lineno, line in enumerate(_read_lines(args.infile), 1):
+        if not line.strip():
+            continue
+        try:
+            graphs.append(delinearize(from_line(line)))
+        except InvalidLinearization as exc:
+            raise AmrkitError(f"{args.infile}:{lineno}: {exc}") from exc
     _write_text(args.out, graphs_to_text(graphs))
     return 0
 

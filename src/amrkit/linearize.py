@@ -12,9 +12,13 @@ and the graph is recoverable without loss.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import AmrkitError
 from .graph import ATOM_RE, LABEL_RE, QUOTED_RE, VAR_TOKEN_RE, AmrGraph, Edge, Node
+
+if TYPE_CHECKING:
+    from .repair import RepairReport
 
 __all__ = [
     "InvalidLinearization",
@@ -92,77 +96,190 @@ def linearize(g: AmrGraph) -> list[str]:
     return tokens
 
 
+# What the innermost open group waits for: its variable, its concept, a
+# relation or ')', or a relation's value; and for the first three, why a
+# token that does not fit is at fault.
+_VAR_SLOT, _CONCEPT_SLOT, _REL_SLOT, _VALUE_SLOT = range(4)
+_EXPECTED = (
+    "'(' must be followed by a variable token",
+    "variable definition missing its concept",
+    "expected a relation or ')'",
+)
+
+
+def _skip_span(tokens: list[str], i: int) -> int:
+    """Index just past the balanced subgroup that starts at ``tokens[i] == '('``."""
+    depth = 0
+    for j in range(i, len(tokens)):
+        depth += (tokens[j] == "(") - (tokens[j] == ")")
+        if depth == 0:
+            return j + 1
+    return len(tokens)
+
+
+def _skip_outside(tokens: list[str], rep: RepairReport) -> None:
+    """Count each unmatched ``)`` of a stretch outside the group, and the rest as one segment."""
+    depth = 0
+    junk = False
+    for t in tokens:
+        if t == ")" and depth == 0:
+            rep.parens_dropped += 1
+        else:
+            junk = True
+            depth += (t == "(") - (t == ")")
+    rep.segments_removed += junk
+
+
+def read_steps(tokens: list[str], rep: RepairReport | None) -> Iterator[tuple | None]:
+    """The one reader of the linear grammar: walk the tokens left to right,
+    mending them as ``amrkit.repair`` describes, and yield
+
+    - ``(label, var, concept)`` when a group opens (``label`` is None for
+      the root), ``var`` being ``<Vk>`` for the k-th group opened;
+    - ``(label, token, None)`` for a reference or a literal;
+    - ``None`` when the innermost group closes;
+    - ``(at, why)`` just before each mend, ``at`` being the index of the
+      token at fault (``len(tokens)`` at end of input).
+
+    A sequence is valid iff no ``(at, why)`` is yielded.  Each fix is
+    counted into ``rep`` after the ``(at, why)`` of its mend, so a reader
+    that stops at the first one may pass None.
+    """
+    n = len(tokens)
+    start = tokens.index("(") if "(" in tokens else n
+    if start or start == n:  # content before the first '(', or no '(' at all
+        yield 0, "expected '('"
+        _skip_outside(tokens[:start], rep)
+    first_def: dict[int, int] = {}  # variable index read -> index of its first definition
+    mints: list[int] = []  # indices of minted variables, in minting order
+    top = -1  # largest variable index read
+    defined = 0
+    # Only the innermost open group can wait for anything but a relation or
+    # ')'; label and var hold what it has read so far.
+    depth, slot, label, var = int(start < n), _VAR_SLOT, None, None
+    i = start + 1
+    while depth:
+        tok = tokens[i] if i < n else None
+        kls = classify(tok) if i < n else None  # None: end of input
+        if slot == _VALUE_SLOT:
+            slot = _REL_SLOT
+            if kls == OPEN:
+                depth += 1
+                slot = _VAR_SLOT
+            elif kls == LIT:
+                yield label, tok, None
+            elif kls == VAR:
+                orig = var_index(tok)
+                top = max(top, orig)
+                new = var_token(first_def[orig]) if orig in first_def else None
+                if tok != new:
+                    yield i, "reference to a variable not defined before it"
+                    if new is None:
+                        rep.segments_removed += 2  # the reference and its relation
+                    else:
+                        rep.vars_renumbered += 1
+                if new is not None:
+                    yield label, new, None
+            else:
+                yield i, f"relation {label!r} has no value"
+                rep.segments_removed += 1  # the dangling relation
+                continue
+            i += 1
+        elif kls == REL and slot == _REL_SLOT:
+            label, slot = tok, _VALUE_SLOT
+            i += 1
+        elif kls == CLOSE and slot != _CONCEPT_SLOT:
+            if slot == _VAR_SLOT:
+                yield i, _EXPECTED[slot]
+                rep.segments_removed += 1  # an empty group, and the relation before it
+            else:
+                yield None
+            depth -= 1
+            slot = _REL_SLOT
+            i += 1
+        elif slot == _VAR_SLOT and (kls in (VAR, REL, None) or kls == LIT and tok[0] != '"'):
+            var = var_token(defined)
+            if kls == VAR:
+                if tok != var:
+                    yield i, "variable tokens must read <V0>, <V1>, ... in first-visit order"
+                    rep.vars_renumbered += 1
+                orig = defined if tok == var else var_index(tok)
+                top = max(top, orig)
+                first_def.setdefault(orig, defined)
+                i += 1
+            else:  # the token could follow a variable: mint one
+                yield i, _EXPECTED[slot]
+                mints.append(defined)
+            slot = _CONCEPT_SLOT
+            defined += 1
+        elif slot == _CONCEPT_SLOT and (kls in (CLOSE, REL, None) or kls == LIT and tok[0] != '"'):
+            if kls == LIT:
+                yield label, var, tok
+                i += 1
+            else:  # the token could follow a concept: insert the placeholder
+                yield i, _EXPECTED[slot]
+                rep.concepts_inserted += 1
+                yield label, var, "amr-unknown"
+            slot = _REL_SLOT
+        elif kls is None:
+            yield i, _EXPECTED[slot]
+            rep.parens_added += depth
+            yield from [None] * depth
+            depth = 0
+        else:
+            quoted = kls == LIT and slot == _CONCEPT_SLOT
+            yield i, "a concept may not be a quoted literal" if quoted else _EXPECTED[slot]
+            rep.segments_removed += 1
+            i = _skip_span(tokens, i) if kls == OPEN else i + 1
+    if i < n:
+        yield i, "trailing content after the graph"
+        _skip_outside(tokens[i:], rep)
+    if mints:  # counted here, once the largest index read is known
+        rep.vars_renumbered += sum(new != top + 1 + k for k, new in enumerate(mints))
+
+
 def delinearize(tokens: list[str]) -> AmrGraph:
-    """Rebuild the graph of a valid linearization, minting variable names
-    v0..vn in first-visit order.
+    """Rebuild the graph of a valid linearization from the steps of
+    ``read_steps``, minting variable names v0..vn in first-visit order.
 
     The tokens are read as groups ``( <Vk> concept (relation value)* )``,
-    each value a group, a variable token defined before it or a literal;
-    and the k-th group read (from 0) opens with ``var_token(k)``.  Anything
-    else raises InvalidLinearization at the first token at fault.  The read
-    copies every other token as it stands, so ``linearize`` gives an
-    accepted line back, and the graph passes ``AmrGraph.check`` by
-    construction.
+    each value a group, a variable token defined before it or a literal,
+    and the k-th group read (from 0) opens with ``var_token(k)``; the
+    walk's first mend raises InvalidLinearization at the token at fault.
+    Other tokens are copied as they stand, so ``linearize`` gives an
+    accepted line back and the graph passes ``AmrGraph.check`` by design.
     """
     tokens = list(tokens)
-    n = len(tokens)
-    kinds = [classify(t) for t in tokens] + [None] * 3  # None: past the end
-
-    def fault(at: int, why: str) -> InvalidLinearization:
-        tok = repr(tokens[at]) if at < n else "end of input"
-        return InvalidLinearization(f"at token {at} ({tok}): {why}")
-
     nodes: list[Node] = []
     edges: list[Edge] = []
     ids: dict[str, str] = {}  # variable token or literal -> node id
     taken: set[str] = set()  # constant ids
     stack: list[str] = []  # open nodes, innermost last
-    i = defined = 0
-    while stack or not nodes:  # until the root group closes
-        if stack:  # a ')' or a relation, whose value follows
-            if kinds[i] == CLOSE:
-                stack.pop()
-                i += 1
-                continue
-            if kinds[i] != REL:
-                raise fault(i, "expected a relation or ')'")
-            i += 1
-        if kinds[i] == OPEN:
-            if kinds[i + 1] != VAR:
-                raise fault(i + 1, "'(' must be followed by a variable token")
-            if tokens[i + 1] != var_token(defined):
-                raise fault(i + 1, "variable tokens must read <V0>, <V1>, ... in first-visit order")
-            if kinds[i + 2] != LIT:
-                raise fault(i + 2, "variable definition missing its concept")
-            if tokens[i + 2].startswith('"'):
-                raise fault(i + 2, "a concept may not be a quoted literal")
-            name = ids[tokens[i + 1]] = f"v{defined}"
-            defined += 1
-            nodes.append(Node(name, tokens[i + 2]))
-            if stack:
-                edges.append(Edge(stack[-1], tokens[i - 1], name))
-            stack.append(name)
-            i += 3
+    defined = 0
+    for step in read_steps(tokens, None):
+        if step is None:
+            stack.pop()
             continue
-        if not stack:
-            raise fault(i, "expected '('")
-        if kinds[i] not in (VAR, LIT):
-            raise fault(i, f"relation {tokens[i - 1]!r} has no value")
-        tok = tokens[i]
-        if kinds[i] == LIT and tok not in ids:
+        if len(step) == 2:
+            at, why = step
+            tok = repr(tokens[at]) if at < len(tokens) else "end of input"
+            raise InvalidLinearization(f"at token {at} ({tok}): {why}")
+        label, tok, concept = step
+        if concept is not None:  # a group opens
+            ids[tok] = f"v{defined}"
+            defined += 1
+            nodes.append(Node(ids[tok], concept))
+        elif tok not in ids:  # a literal read for the first time
             cid = tok  # ids matching v<digits> are reserved for minted variables
             while _MINTED_RE.fullmatch(cid) or cid in taken:
                 cid += "_"
             taken.add(cid)
             ids[tok] = cid
             nodes.append(Node(cid, tok, constant=True))
-        if tok not in ids:
-            raise fault(i, "reference to a variable not defined before it")
-        edges.append(Edge(stack[-1], tokens[i - 1], ids[tok]))
-        i += 1
-    if i < n:
-        raise fault(i, "trailing content after the graph")
-
+        if label is not None:
+            edges.append(Edge(stack[-1], label, ids[tok]))
+        if concept is not None:
+            stack.append(ids[tok])
     return AmrGraph(tuple(nodes), tuple(edges), nodes[0].id)
 
 

@@ -260,7 +260,18 @@ class TestRoundTripCommands:
         out = tmp_path / "g.amr"
         assert run(["serialize", "--in", str(src), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"amrkit: error: metadata field {next(iter(metadata))!r}")
+        assert len(err) == 1
+        assert err[0].startswith(f"amrkit: error: {src}:1: metadata field {next(iter(metadata))!r}")
+        assert not out.exists()
+
+    def test_delinearize_names_the_line_of_rejected_input(self, tmp_path, capsys):
+        src = tmp_path / "g.lin"
+        src.write_text("( <V0> a )\n\n( <V0> a :ARG0 <V2> )\n")
+        out = tmp_path / "g.amr"
+        assert run(["delinearize", "--in", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"amrkit: error: {src}:3: at token 4 ('<V2>'): reference to a variable not defined before it"
+        ]
         assert not out.exists()
 
     def test_parse_serialize(self, amr_file, tmp_path):

@@ -60,25 +60,35 @@ class TestLinearize:
         assert seen == list(range(len(g.var_nodes())))
 
 
-# invalid lines and the token each read fault names
+# invalid lines, the token each read fault names and its reason; together
+# they cover every reason, at a token and at end of input
+_ORDER = "variable tokens must read <V0>, <V1>, ... in first-visit order"
+_NO_VAR = "'(' must be followed by a variable token"
+_NO_CONCEPT = "variable definition missing its concept"
+_NO_REL = "expected a relation or ')'"
+_UNDEFINED = "reference to a variable not defined before it"
+_TRAILING = "trailing content after the graph"
 INVALID_LINES = [
-    ("", 0),
-    ("boy", 0),
-    ("( boy )", 1),
-    ("( <V1> cat )", 1),  # index out of first-visit order
-    ("( <V0> )", 2),
-    ("( <V0> a :ARG0 <V2> )", 4),  # reference to an undefined variable
-    ("( <V0> a :ARG0 <V1> :ARG1 ( <V1> b ) )", 4),  # forward reference
-    ("( <V0> a", 3),
-    ("( <V0> a ) )", 4),
-    ("( <V0> a ) ( <V1> b )", 4),
-    ("( <V0> a :ARG0 )", 4),
-    ("( <V0> a :ARG0 :ARG1 ( <V1> b ) )", 4),
-    ('( <V0> "quoted" )', 2),  # only a constant may be quoted
-    ("( <V0> a <V0> )", 3),  # value without a relation
-    ("( <V00> a )", 1),  # non-canonical spelling of <V0>
-    ("( <V0> a :ARG0 <V00> )", 4),
-    ("( <V0> a :ARG0 ( <V2> b ) <V1> )", 5),  # skipped index, then a value without a relation
+    ("", 0, "expected '('"),
+    ("boy", 0, "expected '('"),
+    ("( boy )", 1, _NO_VAR),
+    ("( <V1> cat )", 1, _ORDER),  # index out of first-visit order
+    ("( <V0> )", 2, _NO_CONCEPT),
+    ("( <V0> a :ARG0 <V2> )", 4, _UNDEFINED),
+    ("( <V0> a :ARG0 <V1> :ARG1 ( <V1> b ) )", 4, _UNDEFINED),  # forward reference
+    ("( <V0> a", 3, _NO_REL),
+    ("( <V0>", 2, _NO_CONCEPT),
+    ("( <V0> a :ARG0 (", 5, _NO_VAR),
+    ("( <V0> a :ARG0", 4, "relation ':ARG0' has no value"),
+    ("( <V0> a ) )", 4, _TRAILING),
+    ("( <V0> a ) ( <V1> b )", 4, _TRAILING),
+    ("( <V0> a :ARG0 )", 4, "relation ':ARG0' has no value"),
+    ("( <V0> a :ARG0 :ARG1 ( <V1> b ) )", 4, "relation ':ARG0' has no value"),
+    ('( <V0> "quoted" )', 2, "a concept may not be a quoted literal"),
+    ("( <V0> a <V0> )", 3, _NO_REL),  # value without a relation
+    ("( <V00> a )", 1, _ORDER),  # non-canonical spelling of <V0>
+    ("( <V0> a :ARG0 <V00> )", 4, _UNDEFINED),
+    ("( <V0> a :ARG0 ( <V2> b ) <V1> )", 5, _ORDER),  # skipped index, then a value without a relation
 ]
 
 
@@ -99,11 +109,13 @@ class TestDelinearize:
         g = delinearize(from_line("( <V0> a :ARG0 ( <V1> b ) )"))
         assert [n.id for n in g.var_nodes()] == ["v0", "v1"]
 
-    @pytest.mark.parametrize("line, at", INVALID_LINES, ids=[line for line, _ in INVALID_LINES])
-    def test_invalid_sequences_rejected(self, line, at):
+    @pytest.mark.parametrize("line, at, reason", INVALID_LINES, ids=[row[0] for row in INVALID_LINES])
+    def test_invalid_sequences_rejected(self, line, at, reason):
         tokens = from_line(line)
-        with pytest.raises(InvalidLinearization, match=rf"^at token {at} "):
+        with pytest.raises(InvalidLinearization) as exc:
             delinearize(tokens)
+        tok = repr(tokens[at]) if at < len(tokens) else "end of input"
+        assert str(exc.value) == f"at token {at} ({tok}): {reason}"
         assert not validate_linear(tokens)
 
     def test_unescaped_quote_inside_quoted_literal_rejected(self):

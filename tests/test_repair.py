@@ -1,9 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amrkit.linearize import delinearize, from_line, linearize, to_line, validate_linear
+from amrkit.linearize import (
+    InvalidLinearization,
+    delinearize,
+    from_line,
+    linearize,
+    to_line,
+    validate_linear,
+)
 from amrkit.repair import FALLBACK, RepairReport, repair, repair_pass_report, repair_with_report
 
 from .helpers import random_graph
@@ -206,3 +215,18 @@ class TestProperties:
     @settings(max_examples=400, deadline=None)
     def test_repair_fixes_exactly_the_invalid_sequences(self, tokens):
         assert validate_linear(tokens) == (repair(tokens) == tokens)
+
+    @given(st.one_of(fuzz_tokens, mutated_linearizations()))
+    @settings(max_examples=300, deadline=None)
+    def test_repair_keeps_the_tokens_before_the_fault(self, tokens):
+        # repair changes nothing before the token delinearize names; it may
+        # hold back the '(' and the relation of a group it then drops
+        try:
+            delinearize(tokens)
+            return
+        except InvalidLinearization as exc:
+            at = int(re.match(r"at token (\d+) ", str(exc)).group(1))
+        fixed = repair(tokens)
+        kept = next((k for k, (a, b) in enumerate(zip(fixed, tokens)) if a != b),
+                    min(len(fixed), len(tokens)))
+        assert at - 2 <= kept <= at
