@@ -98,7 +98,11 @@ def _check_atoms(nodes: Iterable[Node]) -> None:
 @dataclass(frozen=True)
 class AmrGraph:
     """Immutable rooted graph. ``nodes`` and ``edges`` preserve construction
-    order; ``metadata`` holds ``# ::key value`` fields keyed by name."""
+    order; ``metadata`` holds ``# ::key value`` fields keyed by name.  Both
+    readers build a graph with ``build_graph``: its variables in definition
+    order, then one constant node per distinct literal in first-mention
+    order, whose id is the literal with ``_`` appended until it is free of
+    every variable id and every earlier constant id."""
 
     nodes: tuple[Node, ...]
     edges: tuple[Edge, ...]
@@ -243,6 +247,29 @@ def _metadata_header(meta: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # Parsing
 
+def build_graph(variables: dict[str, tuple[str, str]], raw_edges: Iterable[tuple[str, str, str]],
+                metadata: dict[str, str]) -> AmrGraph:
+    """The graph of a reader's ``variables``, each variable's token mapped
+    to its ``(node id, concept)`` in definition order (the root first), and
+    ``raw_edges``, each relation's ``(source token, label, target token)``
+    in reading order, where a target that is no variable's token is a
+    literal.  Node order and constant ids follow ``AmrGraph``'s rule."""
+    ids = {tok: vid for tok, (vid, _) in variables.items()}  # token -> node id
+    nodes = [Node(vid, concept) for vid, concept in variables.values()]
+    taken = set(ids.values())
+    edges = []
+    for src, label, tgt in raw_edges:
+        if tgt not in ids:  # a literal read for the first time
+            cid = tgt
+            while cid in taken:
+                cid += "_"
+            taken.add(cid)
+            ids[tgt] = cid
+            nodes.append(Node(cid, tgt, constant=True))
+        edges.append(Edge(ids[src], label, ids[tgt]))
+    return AmrGraph(tuple(nodes), tuple(edges), nodes[0].id, metadata)
+
+
 def parse_penman(text: str) -> AmrGraph:
     """Parse one PENMAN expression (optionally preceded by ``# ::`` metadata
     lines; comment lines after the expression begins are not read as
@@ -250,17 +277,18 @@ def parse_penman(text: str) -> AmrGraph:
 
     The parser is strict: unbalanced parentheses, a variable definition with
     no ``/ concept``, duplicate variable definitions, trailing content, or a
-    concept or constant that breaks the atom rule (``(a / :foo)``, a
-    constant ``<V1>``) all raise MalformedPenman.  Re-entrant variable
-    mentions (including forward references) become additional edges to the
-    one node.  The graph returned passes ``AmrGraph.check`` by construction.
+    variable name, concept or constant that breaks the atom rule
+    (``(:a / b)``, ``(a / :foo)``, a constant ``<V1>``) all raise
+    MalformedPenman.  Re-entrant variable mentions (including forward
+    references) become additional edges to the one node.  The graph, built
+    by ``build_graph``, passes ``AmrGraph.check`` by construction.
     """
     meta, body = _split_metadata(text)
     tokens = _tokenize_penman(body)
     if not tokens:
         raise MalformedPenman("empty input")
 
-    concepts: dict[str, str] = {}
+    variables: dict[str, tuple[str, str]] = {}  # name -> (name, concept)
     # (src_var, label, raw_target) in textual order
     raw_edges: list[tuple[str, str, str]] = []
     stack: list[str] = []  # variables of the open nodes, innermost last
@@ -270,16 +298,18 @@ def parse_penman(text: str) -> AmrGraph:
             if tokens[pos] != "(":
                 raise MalformedPenman(f"expected '(' but found {tokens[pos]!r}")
             var = tokens[pos + 1]
-            if var in "()/" or var.startswith('"'):
+            # a token is one of ()/, a quoted literal or a bare run free of
+            # whitespace and ()/": the atom rule leaves ':' and <Vn> to test
+            if var[0] in '()/":' or var[0] == "<" and VAR_TOKEN_RE.fullmatch(var):
                 raise MalformedPenman(f"expected variable name, found {var!r}")
             if tokens[pos + 2] != "/":
                 raise MalformedPenman(f"missing '/' after variable {var!r}")
             concept = tokens[pos + 3]
             if concept in "()/" or concept.startswith('"'):
                 raise MalformedPenman(f"missing concept after '/' for {var!r}")
-            if var in concepts:
+            if var in variables:
                 raise MalformedPenman(f"duplicate definition of variable {var!r}")
-            concepts[var] = concept
+            variables[var] = (var, concept)
             if stack:
                 raw_edges.append((stack[-1], tokens[pos - 1], var))
             stack.append(var)
@@ -306,25 +336,12 @@ def parse_penman(text: str) -> AmrGraph:
     if pos != len(tokens):
         raise MalformedPenman(f"trailing content after graph: {tokens[pos]!r}")
 
-    nodes = [Node(v, c) for v, c in concepts.items()]
-    ids = {v: v for v in concepts}  # variable or constant -> node id
-    taken = set(concepts)
-    edges = []
-    for src, label, tgt in raw_edges:
-        if tgt not in ids:
-            cid = tgt
-            while cid in taken:
-                cid += "_"
-            taken.add(cid)
-            ids[tgt] = cid
-            nodes.append(Node(cid, tgt, constant=True))
-        edges.append(Edge(src, label, ids[tgt]))
-
+    g = build_graph(variables, raw_edges, meta)
     try:
-        _check_atoms(nodes)
+        _check_atoms(g.nodes)
     except ValueError as exc:
         raise MalformedPenman(str(exc)) from exc
-    return AmrGraph(tuple(nodes), tuple(edges), nodes[0].id, meta)  # the root comes first
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import re
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import AmrkitError
-from .graph import ATOM_RE, LABEL_RE, QUOTED_RE, VAR_TOKEN_RE, AmrGraph, Edge, Node
+from .graph import ATOM_RE, LABEL_RE, QUOTED_RE, VAR_TOKEN_RE, AmrGraph, build_graph
 
 if TYPE_CHECKING:
     from .repair import RepairReport
@@ -39,7 +39,6 @@ _CLASS_RE = re.compile(
     f"(?P<{VAR}>{VAR_TOKEN_RE.pattern})|(?P<{LIT}>{QUOTED_RE.pattern}|{ATOM_RE.pattern})"
     f"|(?P<{REL}>{LABEL_RE.pattern})"
 )
-_MINTED_RE = re.compile(r"v\d+")
 
 
 class InvalidLinearization(AmrkitError):
@@ -151,8 +150,6 @@ def read_steps(tokens: list[str], rep: RepairReport | None) -> Iterator[tuple | 
         yield 0, "expected '('"
         _skip_outside(tokens[:start], rep)
     first_def: dict[int, int] = {}  # variable index read -> index of its first definition
-    mints: list[int] = []  # indices of minted variables, in minting order
-    top = -1  # largest variable index read
     defined = 0
     # Only the innermost open group can wait for anything but a relation or
     # ')'; label and var hold what it has read so far.
@@ -170,7 +167,6 @@ def read_steps(tokens: list[str], rep: RepairReport | None) -> Iterator[tuple | 
                 yield label, tok, None
             elif kls == VAR:
                 orig = var_index(tok)
-                top = max(top, orig)
                 new = var_token(first_def[orig]) if orig in first_def else None
                 if tok != new:
                     yield i, "reference to a variable not defined before it"
@@ -204,12 +200,11 @@ def read_steps(tokens: list[str], rep: RepairReport | None) -> Iterator[tuple | 
                     yield i, "variable tokens must read <V0>, <V1>, ... in first-visit order"
                     rep.vars_renumbered += 1
                 orig = defined if tok == var else var_index(tok)
-                top = max(top, orig)
                 first_def.setdefault(orig, defined)
                 i += 1
             else:  # the token could follow a variable: mint one
                 yield i, _EXPECTED[slot]
-                mints.append(defined)
+                rep.vars_renumbered += 1
             slot = _CONCEPT_SLOT
             defined += 1
         elif slot == _CONCEPT_SLOT and (kls in (CLOSE, REL, None) or kls == LIT and tok[0] != '"'):
@@ -234,8 +229,6 @@ def read_steps(tokens: list[str], rep: RepairReport | None) -> Iterator[tuple | 
     if i < n:
         yield i, "trailing content after the graph"
         _skip_outside(tokens[i:], rep)
-    if mints:  # counted here, once the largest index read is known
-        rep.vars_renumbered += sum(new != top + 1 + k for k, new in enumerate(mints))
 
 
 def delinearize(tokens: list[str]) -> AmrGraph:
@@ -250,12 +243,9 @@ def delinearize(tokens: list[str]) -> AmrGraph:
     accepted line back and the graph passes ``AmrGraph.check`` by design.
     """
     tokens = list(tokens)
-    nodes: list[Node] = []
-    edges: list[Edge] = []
-    ids: dict[str, str] = {}  # variable token or literal -> node id
-    taken: set[str] = set()  # constant ids
-    stack: list[str] = []  # open nodes, innermost last
-    defined = 0
+    variables: dict[str, tuple[str, str]] = {}  # <Vk> -> (vk, concept)
+    edges: list[tuple[str, str, str]] = []
+    stack: list[str] = []  # tokens of the open groups, innermost last
     for step in read_steps(tokens, None):
         if step is None:
             stack.pop()
@@ -265,22 +255,12 @@ def delinearize(tokens: list[str]) -> AmrGraph:
             tok = repr(tokens[at]) if at < len(tokens) else "end of input"
             raise InvalidLinearization(f"at token {at} ({tok}): {why}")
         label, tok, concept = step
-        if concept is not None:  # a group opens
-            ids[tok] = f"v{defined}"
-            defined += 1
-            nodes.append(Node(ids[tok], concept))
-        elif tok not in ids:  # a literal read for the first time
-            cid = tok  # ids matching v<digits> are reserved for minted variables
-            while _MINTED_RE.fullmatch(cid) or cid in taken:
-                cid += "_"
-            taken.add(cid)
-            ids[tok] = cid
-            nodes.append(Node(cid, tok, constant=True))
         if label is not None:
-            edges.append(Edge(stack[-1], label, ids[tok]))
-        if concept is not None:
-            stack.append(ids[tok])
-    return AmrGraph(tuple(nodes), tuple(edges), nodes[0].id)
+            edges.append((stack[-1], label, tok))
+        if concept is not None:  # a group opens
+            variables[tok] = (f"v{len(variables)}", concept)
+            stack.append(tok)
+    return build_graph(variables, edges, {})
 
 
 def validate_linear(tokens: list[str]) -> bool:

@@ -55,6 +55,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 LANGS = ("EN", "DE", "ES", "IT", "ZH")
+_SPLITS = ("train", "dev", "test")
 PROVENANCES = ("gold", "silver-mt", "seq-kd")
 MASK = "<mask>"
 ADAPTER_CMD_ENV = "AMRKIT_ADAPTER_CMD"
@@ -70,6 +71,7 @@ class AdapterError(AmrkitError):
 class CorpusRecord:
     """One training-corpus row.
 
+    ``lang`` is one of ``LANGS`` and ``split`` one of train, dev and test;
     ``tgt`` is a linearized-graph token tuple (or None for unlabeled rows);
     ``quality`` is set only by the consistency filter.  Gold provenance in
     the train split is English-only: foreign-language training data is
@@ -88,6 +90,8 @@ class CorpusRecord:
     def __post_init__(self) -> None:
         if self.lang not in LANGS:
             raise ValueError(f"unknown language {self.lang!r} (expected one of {LANGS})")
+        if self.split not in _SPLITS:
+            raise ValueError(f"unknown split {self.split!r} (expected one of {_SPLITS})")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.quality is not None and not -1.0 <= self.quality <= 1.0:
@@ -425,7 +429,6 @@ def augment_vocab(records: Iterable[CorpusRecord], min_count: int = 5) -> list[s
 # ---------------------------------------------------------------------------
 # Corpus bookkeeping
 
-_SPLITS = ("train", "dev", "test")
 _LANG_NAMES = {
     "EN": "English(EN)",
     "DE": "German(DE)",
@@ -498,14 +501,14 @@ _RECORD_FIELDS = {
 def record_from_json(obj: dict) -> CorpusRecord:
     """Inverse of ``record_to_json``.  Raises ValueError on anything but an
     object with ``id``, ``lang`` and ``src`` and fields of the JSON types
-    that ``record_to_json`` writes."""
+    that ``record_to_json`` writes (a boolean is not a number)."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("id", "lang", "src"):
         if key not in obj:
             raise ValueError(f"record has no {key!r} field")
     for key, types in _RECORD_FIELDS.items():
-        if key in obj and not isinstance(obj[key], types):
+        if key in obj and (not isinstance(obj[key], types) or isinstance(obj[key], bool)):
             raise ValueError(f"record field {key!r} has type {type(obj[key]).__name__}")
     meta = obj.get("meta") or {}
     if not isinstance(meta.get("src_en", ""), (str, type(None))):

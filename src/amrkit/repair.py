@@ -8,8 +8,9 @@ unquoted concepts and constants obey the atom rule of ``amrkit.graph`` (no
 One walk, ``linearize.read_steps``, reads that grammar and yields only
 steps with a legal position: ``repair`` writes them out as tokens, and
 ``delinearize`` builds a graph and fails at the walk's first mend.  So
-``repair(t) == t`` exactly when ``validate_linear(t)``, and ``repair`` is
-total, idempotent and leaves valid input untouched.  As it goes, the walk
+``repair(t) == t`` exactly when ``validate_linear(t)`` and exactly when
+the report counts no fix, and ``repair`` is total, idempotent and leaves
+valid input untouched.  As it goes, the walk
 
 - drops an unmatched ``)`` (``parens_dropped``);
 - drops invalid segments (``segments_removed``, one per segment): content
@@ -19,10 +20,10 @@ total, idempotent and leaves valid input untouched.  As it goes, the walk
   group ``( )`` together with the relation that introduced it;
 - drops a reference to a variable not defined before it together with its
   relation (two segments);
-- mints a variable for a group that lacks one and inserts the placeholder
-  concept ``amr-unknown`` where a concept is missing
-  (``concepts_inserted``); a group still open at end of input is kept and
-  completed this way, so ``( <V0> a :ARG0 (`` becomes
+- mints a variable for a group that lacks one (``vars_renumbered``) and
+  inserts the placeholder concept ``amr-unknown`` where a concept is
+  missing (``concepts_inserted``); a group still open at end of input is
+  kept and completed this way, so ``( <V0> a :ARG0 (`` becomes
   ``( <V0> a :ARG0 ( <V1> amr-unknown ) )`` (a placeholder node, two more
   triples for Smatch), while the closed empty group of
   ``( <V0> a :ARG0 ( ) )`` is dropped, giving ``( <V0> a )``;
@@ -30,9 +31,7 @@ total, idempotent and leaves valid input untouched.  As it goes, the walk
 - renumbers variable tokens to ``<V0>``..``<Vn-1>`` in first-visit order,
   so a duplicate definition becomes a fresh variable and ``<V00>`` becomes
   ``<V0>``.  ``vars_renumbered`` counts each kept variable token whose
-  spelling changed; a minted variable counts when its index differs from
-  ``M + 1 + k``, where ``M`` is the largest variable index the walk read
-  and ``k`` is the mint's order.
+  spelling changed and each variable minted.
 
 When nothing is left (for example, no group at all) the result is the
 single-node sequence ``FALLBACK`` = ``( <V0> amr-empty )``, so downstream

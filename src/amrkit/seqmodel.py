@@ -215,7 +215,8 @@ class ToyCondModel(SeqModel):
     @classmethod
     def load(cls, path: str) -> "ToyCondModel":
         """Read a model written by ``save``.  Raises ValueError naming the
-        file on anything else, before a malformed table can reach decoding."""
+        file on anything else, before a malformed table can reach decoding:
+        a count row whose key no query can reach, or a key given twice, too."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
 
@@ -248,5 +249,11 @@ class ToyCondModel(SeqModel):
         need(not table.size or 0 <= table.min() <= table.max() < _MAX_COUNT,
              f"counts are not numbers in [0, {_MAX_COUNT:g})")
         need(not table[:, model._bos].any(), f"counts give {BOS!r} a nonzero entry")
+        buckets, ids = range(model.buckets), set(range(len(vocab)))
+        for k, (bucket, context) in enumerate(keys):  # each a key that ``key`` can return
+            if not (bucket in buckets and len(context) == model.order - 1 and ids.issuperset(context)):
+                raise ValueError(f"{path}: counts[{k}] is a row no query reaches "
+                                 f"(bucket {bucket!r}, context {list(context)!r})")
+        need(len(model.counts) == len(keys), "counts give one key twice")
         return model
 

@@ -274,6 +274,24 @@ class TestRoundTripCommands:
         ]
         assert not out.exists()
 
+    def test_serialize_skips_blank_lines(self, tmp_path):
+        src = tmp_path / "g.jsonl"
+        src.write_text('\n{"penman": "(a / b)"}\n  \n{"penman": "(c / d)", "metadata": {"id": "2"}}\n')
+        out = tmp_path / "g.amr"
+        assert run(["serialize", "--in", str(src), "--out", str(out)]) == 0
+        assert out.read_text() == "(a / b)\n\n# ::id 2\n(c / d)\n"
+
+    @pytest.mark.parametrize("metadata", [["id", "1"], "id 1", 5])
+    def test_serialize_rejects_metadata_that_is_not_an_object(self, tmp_path, capsys, metadata):
+        src = tmp_path / "g.jsonl"
+        src.write_text("\n" + json.dumps({"penman": "(a / b)", "metadata": metadata}) + "\n")
+        out = tmp_path / "g.amr"
+        assert run(["serialize", "--in", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f'amrkit: error: {src}:2: "metadata" is not a JSON object'
+        ]
+        assert not out.exists()
+
     def test_parse_serialize(self, amr_file, tmp_path):
         parsed = tmp_path / "parsed.jsonl"
         back = tmp_path / "back.amr"
@@ -465,6 +483,28 @@ class TestPipelineCommands:
         assert run(["stats", "--in", str(kept), "--format", "json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["DE"]["train"] == 6
+
+    def test_stats_prints_a_table_by_default(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        write_corpus_jsonl(str(corpus), [
+            CorpusRecord("r0", "EN", "train", "hi", tgt=("(", "<V0>", "a", ")")),
+            CorpusRecord("r1", "DE", "dev", "hallo", provenance="silver-mt"),
+        ])
+        assert run(["stats", "--in", str(corpus)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["Language", "Train", "Dev", "Test"]
+        assert lines[1].split() == ["English(EN)", "1*", "0*", "0*"]
+        assert lines[2].split() == ["German(DE)", "0", "1", "0*"]
+
+    @pytest.mark.parametrize("field", [{"split": "valid"}, {"quality": True}], ids=repr)
+    def test_stats_rejects_a_record_no_cell_counts(self, tmp_path, capsys, field):
+        # a split outside train/dev/test would fall out of every cell, and a
+        # boolean quality would load as a number
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(_RECORD) + "\n" + json.dumps({**_RECORD, **field}) + "\n")
+        assert run(["stats", "--in", str(corpus), "--format", "table"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"amrkit: error: {corpus}:2: ")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_filter_non_finite_threshold_is_data_error(self, tmp_path, capsys, value):

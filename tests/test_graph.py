@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from amrkit.graph import (
@@ -101,6 +101,9 @@ _REJECTED = [
     ("(a / :foo)", "node 'a': ':foo' breaks the atom rule"),
     # a concept spelled as a variable token
     ("(a / <V3>)", "node 'a': '<V3>' breaks the atom rule"),
+    # variable names obey the atom rule too
+    ("(:a / b)", "expected variable name, found ':a'"),
+    ("(<V1> / b :ARG0 (c / d :ARG1 <V1>))", "expected variable name, found '<V1>'"),
 ]
 
 
@@ -138,6 +141,24 @@ class TestParse:
         except MalformedPenman:
             return
         assert g.check() is g
+
+    @given(st.text(TOKENIZER_ALPHABET, min_size=1, max_size=8))
+    @example("<V0> <V٣> <V> :a a:b")
+    @settings(max_examples=300, deadline=None)
+    def test_variable_names_obey_the_atom_rule(self, text):
+        # parse_penman decides a variable's token by its first character and
+        # VAR_TOKEN_RE, not by ATOM_RE: the two must agree on every token
+        try:
+            tokens = _tokenize_penman(text)
+        except MalformedPenman:
+            return
+        for tok in tokens:
+            if ATOM_RE.fullmatch(tok):
+                assert parse_penman(f"({tok} / b)").root == tok
+            else:
+                message = f"expected variable name, found {tok!r}"
+                with pytest.raises(MalformedPenman, match=f"^{re.escape(message)}$"):
+                    parse_penman(f"({tok} / b)")
 
     def test_tokenizer_edge_cases(self):
         assert _tokenize_penman('ab"cd"') == ["ab", '"cd"']
@@ -309,6 +330,22 @@ class TestSerialize:
         assert parse_penman(serialize_penman(g)).metadata == g.metadata
 
 
+class TestCheck:
+    @pytest.mark.parametrize("nodes, edges, root, message", [
+        ([Node("a", "x")], [], "b", "root must name a variable-bearing node"),
+        ([Node("a", "x"), Node("-", "-", constant=True)], [Edge("a", ":polarity", "-")], "-",
+         "root must name a variable-bearing node"),
+        ([Node("a", "x"), Node("b", "y")], [Edge("a", "ARG0", "b")], "a", "invalid edge label 'ARG0'"),
+        ([Node("a", "x")], [Edge("a", ":ARG0", "b")], "a",
+         "edge Edge(src='a', label=':ARG0', tgt='b') names a missing node"),
+        ([Node("a", "x"), Node("-", "-", constant=True)],
+         [Edge("a", ":polarity", "-"), Edge("-", ":mod", "a")], "a", "constant node '-' has an outgoing edge"),
+    ], ids=["missing-root", "constant-root", "label", "missing-node", "constant-source"])
+    def test_rejects(self, nodes, edges, root, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AmrGraph(tuple(nodes), tuple(edges), root).check()
+
+
 class TestWalk:
     @given(st.one_of(graphs(), literal_graphs()))
     @settings(max_examples=300, deadline=None)
@@ -390,6 +427,16 @@ class TestRoundTrip:
         tokens = linearize(g)
         assert from_line(to_line(tokens)) == tokens
         assert linearize(delinearize(tokens)) == tokens
+
+    @given(st.one_of(graphs(), literal_graphs()))
+    @settings(max_examples=300, deadline=None)
+    def test_both_readers_build_the_same_graph(self, g):
+        # one builder behind both readers: the same graph read from its
+        # linear form and from its PENMAN form is one AmrGraph, unless
+        # serialize_penman must rename a variable that a bare constant spells
+        d = delinearize(linearize(g))
+        assume(not {n.concept for n in d.nodes if n.constant} & {n.id for n in d.var_nodes()})
+        assert parse_penman(serialize_penman(d)) == d
 
     def test_file_format_blocks(self):
         rng = np.random.RandomState(0)

@@ -32,7 +32,7 @@ from amrkit.errors import TooLarge
 from amrkit.linearize import validate_linear
 from amrkit.pipeline import MASK, AdapterError, CorpusRecord, NoiseSpec
 from amrkit.repair import repair
-from amrkit.seqmodel import BOS, EOS, MAX_ORDER, SeqModel, ToyCondModel
+from amrkit.seqmodel import _SOURCE_CACHE, BOS, EOS, MAX_ORDER, SeqModel, ToyCondModel
 
 from .helpers import (
     TOY_VOCAB,
@@ -123,6 +123,24 @@ class TestToyCondModel:
         payload["counts"][0]["counts"][m.index(BOS)] = 50.0
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: counts give '<s>' a nonzero"):
+            ToyCondModel.load(str(path))
+
+    @pytest.mark.parametrize("order, keys, message", [
+        (2, [(99, [0])], r"counts\[0\] is a row no query reaches \(bucket 99, context \[0\]\)"),
+        (3, [(0, [0])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[0\]\)"),
+        (3, [(0, "ab")], r"counts\[0\] is a row no query reaches \(bucket 0, context \['a', 'b'\]\)"),
+        (3, [(0, [0, 77])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[0, 77\]\)"),
+        (2, [(0, [2]), (1, [2]), (0, [2])], "counts give one key twice"),  # 3 rows would load as 2
+    ], ids=["bucket-past-buckets", "context-too-short", "context-a-string", "token-id-past-vocab",
+            "key-given-twice"])
+    def test_load_rejects_rows_no_query_reaches(self, tmp_path, order, keys, message):
+        # save would write such a table back, and no next_dist would read it
+        path = tmp_path / "model.json"
+        ToyCondModel(V4, order=order, buckets=4).save(str(path))
+        payload = json.loads(path.read_text())
+        payload["counts"] = [{"bucket": b, "context": c, "counts": [0.0, 1.0, 2.0, 0.0]} for b, c in keys]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             ToyCondModel.load(str(path))
 
     def test_vocab_needs_sentinels(self):
@@ -605,6 +623,18 @@ class TestSourceHashedOnce:
     def test_list_and_tuple_of_the_same_tokens(self):
         m = self._model()
         for src in (self.SOURCES[2], tuple(self.SOURCES[2]), self.SOURCES[2]):
+            self._assert_as_fresh(m, src)
+
+    def test_evicted_sources_answer_as_before(self):
+        # more sources than the cache keeps: the first ones are evicted and
+        # hashed again when they come back
+        m = self._model()
+        before = [m.next_dist([], src).tobytes() for src in self.SOURCES]
+        for k in range(_SOURCE_CACHE + 10):
+            m.bucket([f"w{k}"])
+        assert len(m._src_hash) == _SOURCE_CACHE and tuple(self.SOURCES[0]) not in m._src_hash
+        for src, dist in zip(self.SOURCES, before):
+            assert m.next_dist([], src).tobytes() == dist
             self._assert_as_fresh(m, src)
 
 

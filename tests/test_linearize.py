@@ -148,6 +148,14 @@ class TestDelinearize:
         ]
         assert [e.tgt for e in g.edges] == ["v1_", "c", "c_", "v1__", "c", "v1"]
 
+    def test_variables_come_before_constants(self):
+        # the node order and constant ids of parse_penman: a literal spelling
+        # v<digits> keeps its own id unless a variable holds it
+        g = delinearize(from_line("( <V0> a :op1 v99 :ARG0 ( <V1> b :op2 - :op3 v1 ) )"))
+        assert [(n.id, n.concept) for n in g.nodes] == [
+            ("v0", "a"), ("v1", "b"), ("v99", "v99"), ("-", "-"), ("v1_", "v1"),
+        ]
+
 
 class TestRoundTrip:
     @given(st.lists(st.sampled_from(["(", ")", "<V0>", "<V1>", "<V00>", ":ARG0", "a",

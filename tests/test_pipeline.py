@@ -378,6 +378,8 @@ class TestCorpusRecord:
             CorpusRecord("x", "EN", "train", "hi")  # gold needs a target
         with pytest.raises(ValueError):
             CorpusRecord("x", "DE", "train", "hallo", tgt=("a",), provenance="gold")
+        with pytest.raises(ValueError, match="unknown split 'valid'"):
+            CorpusRecord("x", "EN", "valid", "hi", tgt=("a",))
 
     def test_foreign_gold_test_records_allowed(self):
         rec = CorpusRecord("x", "DE", "test", "hallo", tgt=("a",), provenance="gold")

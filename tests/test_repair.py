@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amrkit.linearize import (
@@ -152,8 +152,9 @@ class TestScenarios:
         "line, expected, fixes",
         [
             ("( <V0> a :ARG0 (", "( <V0> a :ARG0 ( <V1> amr-unknown ) )",
-             {"parens_added": 2, "concepts_inserted": 1}),
-            ("( :ARG0 )", "( <V0> amr-unknown )", {"segments_removed": 1, "concepts_inserted": 1}),
+             {"parens_added": 2, "concepts_inserted": 1, "vars_renumbered": 1}),
+            ("( :ARG0 )", "( <V0> amr-unknown )",
+             {"segments_removed": 1, "concepts_inserted": 1, "vars_renumbered": 1}),
             ("( <V0> a :ARG0 <V1> :ARG1 ( <V1> b ) )", "( <V0> a :ARG1 ( <V1> b ) )",
              {"segments_removed": 2}),
             ("( <V3> a :ARG0 ( boy ) )", "( <V0> a :ARG0 ( <V1> boy ) )", {"vars_renumbered": 2}),
@@ -215,6 +216,14 @@ class TestProperties:
     @settings(max_examples=400, deadline=None)
     def test_repair_fixes_exactly_the_invalid_sequences(self, tokens):
         assert validate_linear(tokens) == (repair(tokens) == tokens)
+
+    @given(st.one_of(fuzz_tokens, mutated_linearizations()))
+    @example(["(", "boy", ")"])  # a minted variable counts
+    @example(from_line("( <V0> a :ARG0 ( b ) )"))
+    @settings(max_examples=400, deadline=None)
+    def test_report_is_zero_exactly_when_unchanged(self, tokens):
+        fixed, rep = repair_with_report(tokens)
+        assert (rep == RepairReport()) == (fixed == tokens)
 
     @given(st.one_of(fuzz_tokens, mutated_linearizations()))
     @settings(max_examples=300, deadline=None)

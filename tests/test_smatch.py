@@ -520,6 +520,16 @@ class TestCorpus:
         with pytest.raises(CountMismatch):
             align_records([a], [b])
 
+    @pytest.mark.parametrize("pred_ids, gold_ids, message", [
+        (["one", "two"], ["one", "one"], "duplicate gold id 'one'"),
+        (["one", "one"], ["one", "two"], "duplicate prediction ids"),
+    ], ids=["gold", "prediction"])
+    def test_alignment_duplicate_ids(self, pred_ids, gold_ids, message):
+        def graphs(ids):
+            return [parse_penman(f"# ::id {i}\n(c / cat)") for i in ids]
+        with pytest.raises(CountMismatch, match=f"^{message}$"):
+            align_records(graphs(pred_ids), graphs(gold_ids))
+
     def test_jobs_other_than_one_rejected(self):
         with pytest.raises(ValueError):
             corpus_smatch([WANT_BOY], [WANT_BOY], jobs=2)
