@@ -207,11 +207,14 @@ def kd_batches_from_corpus(
     records: Iterable[CorpusRecord], batch_size: int = 32
 ) -> list[KdBatch]:
     """Convert corpus records (as built by seq_kd_build) into KD batches:
-    x from the record source, x* from the retained English sentence, and the
-    target with EOS appended."""
+    x from the record source, x* from the retained English sentence (the
+    source itself when ``meta['src_en']`` is absent or None), and the target
+    with EOS appended."""
     out: list[KdRecord] = []
     for rec in records:
-        x_star = rec.meta.get("src_en", rec.src)
+        x_star = rec.meta.get("src_en")
+        if x_star is None:
+            x_star = rec.src
         y = tuple(rec.tgt) + (EOS,) if rec.tgt is not None else None
         out.append(KdRecord(tuple(rec.src.split()), tuple(x_star.split()), y))
     return [

@@ -276,10 +276,20 @@ def to_line(tokens: list[str]) -> str:
     return " ".join(tokens)
 
 
-_LINE_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)|[^\s"]+', re.S)
+# a quoted span from its opening quote: it always matches there
+_QUOTED_SPAN_RE = re.compile(r'"(?:[^"\\]|\\.)*(?:"|\\?\Z)', re.S)
 
 
 def from_line(line: str) -> list[str]:
     """Whitespace tokenizer, except that a double-quoted span (with backslash
-    escapes) is one token; an unterminated quote runs to end of line."""
-    return _LINE_TOKEN_RE.findall(line) if '"' in line else line.split()
+    escapes) is one token; an unterminated quote runs to end of line.  The
+    text between quoted spans is split by ``str.split``, so a token that
+    touches a quote ends there (``ab"cd"`` is ``ab`` and ``"cd"``)."""
+    tokens: list[str] = []
+    start = 0
+    while (quote := line.find('"', start)) >= 0:
+        tokens += line[start:quote].split()
+        start = _QUOTED_SPAN_RE.match(line, quote).end()
+        tokens.append(line[quote:start])
+    tokens += line[start:].split()
+    return tokens

@@ -61,21 +61,36 @@ MASK = "<mask>"
 ADAPTER_CMD_ENV = "AMRKIT_ADAPTER_CMD"
 # Texts sent to one adapter process by CommandTranslator.translate_batch.
 ADAPTER_CHUNK = 256
+# Length of a HashEmbedding vector.
+_EMBED_DIM = 64
 
 
 class AdapterError(AmrkitError):
     """An external translation/embedding adapter failed for one record."""
 
 
+# The type of each CorpusRecord field, in field order.
+_FIELD_TYPES = {
+    "id": str, "lang": str, "split": str, "src": str, "tgt": (tuple, type(None)),
+    "provenance": str, "quality": (int, float, type(None)), "meta": dict,
+}
+
+
 @dataclass(frozen=True)
 class CorpusRecord:
-    """One training-corpus row.
+    """One training-corpus row, and the one statement of its rules.
 
-    ``lang`` is one of ``LANGS`` and ``split`` one of train, dev and test;
-    ``tgt`` is a linearized-graph token tuple (or None for unlabeled rows);
-    ``quality`` is set only by the consistency filter.  Gold provenance in
-    the train split is English-only: foreign-language training data is
-    always constructed, never annotated.
+    ``id``, ``src`` and ``provenance`` are strings; ``lang`` is one of
+    ``LANGS`` and ``split`` one of train, dev and test; ``tgt`` is a
+    linearized-graph token tuple (or None for unlabeled rows) that survives
+    its line form, ``from_line(to_line(tgt)) == list(tgt)``; ``quality`` is a
+    number in [-1, 1] or None and is set only by the consistency filter;
+    ``meta`` is a dict whose ``src_en``, when present and not None, is a
+    string.  A bool is never a number or a string.  Gold provenance needs a
+    target, and in the train split is English-only: foreign-language
+    training data is always constructed, never annotated.  Raises ValueError
+    on the first broken rule: the types in field order, then ``src_en``,
+    then the values.
     """
 
     id: str
@@ -88,6 +103,17 @@ class CorpusRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for key, types in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if not isinstance(value, types) or isinstance(value, bool):
+                raise ValueError(f"record field {key!r} has type {type(value).__name__}")
+        tgt = list(self.tgt or ())
+        try:
+            line = to_line(tgt)
+        except TypeError:
+            raise ValueError("record field 'tgt' holds a token that is not a string") from None
+        if not isinstance(self.meta.get("src_en"), (str, type(None))):
+            raise ValueError("record field 'meta.src_en' is not a string")
         if self.lang not in LANGS:
             raise ValueError(f"unknown language {self.lang!r} (expected one of {LANGS})")
         if self.split not in _SPLITS:
@@ -96,6 +122,8 @@ class CorpusRecord:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.quality is not None and not -1.0 <= self.quality <= 1.0:
             raise ValueError(f"quality {self.quality} outside [-1, 1]")
+        if from_line(line) != tgt:
+            raise ValueError("record field 'tgt' does not read back from its line form")
         if self.provenance == "gold":
             if self.tgt is None:
                 raise ValueError("gold records need a target")
@@ -322,8 +350,7 @@ class HashEmbedding:
     pseudo-random unit vectors, language-agnostic so that a perfect back
     translation embeds identically to its source."""
 
-    def __init__(self, dim: int = 64):
-        self.dim = dim
+    def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
         # One generator reseeded per new word: building a RandomState costs
         # far more than seeding one.
@@ -333,7 +360,7 @@ class HashEmbedding:
         vec = self._cache.get(word)
         if vec is None:
             self._rng.seed(stable_hash(word) & 0x7FFFFFFF)
-            vec = self._rng.standard_normal(self.dim)
+            vec = self._rng.standard_normal(_EMBED_DIM)
             vec /= np.linalg.norm(vec)
             self._cache[word] = vec
         return vec
@@ -341,7 +368,7 @@ class HashEmbedding:
     def embed(self, sentence: str, lang: str) -> np.ndarray:
         words = sentence.split()
         if not words:
-            return np.zeros(self.dim)
+            return np.zeros(_EMBED_DIM)
         return np.sum([self._word_vec(w) for w in words], axis=0)
 
 
@@ -492,37 +519,27 @@ def record_to_json(rec: CorpusRecord) -> dict:
     }
 
 
-_RECORD_FIELDS = {
-    "id": str, "lang": str, "split": str, "src": str, "tgt": (str, type(None)),
-    "provenance": str, "quality": (int, float, type(None)), "meta": (dict, type(None)),
-}
-
-
 def record_from_json(obj: dict) -> CorpusRecord:
-    """Inverse of ``record_to_json``.  Raises ValueError on anything but an
-    object with ``id``, ``lang`` and ``src`` and fields of the JSON types
-    that ``record_to_json`` writes (a boolean is not a number)."""
+    """Inverse of ``record_to_json``: the record an object with ``id``,
+    ``lang`` and ``src`` (``split`` defaults to train, ``provenance`` to
+    gold) describes, its ``tgt`` string read by ``from_line`` and a null
+    ``meta`` taken as ``{}``.  Raises ValueError on anything but an object
+    with those three keys, and on whatever ``CorpusRecord`` rejects."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("id", "lang", "src"):
         if key not in obj:
             raise ValueError(f"record has no {key!r} field")
-    for key, types in _RECORD_FIELDS.items():
-        if key in obj and (not isinstance(obj[key], types) or isinstance(obj[key], bool)):
-            raise ValueError(f"record field {key!r} has type {type(obj[key]).__name__}")
-    meta = obj.get("meta") or {}
-    if not isinstance(meta.get("src_en", ""), (str, type(None))):
-        raise ValueError("record field 'meta.src_en' is not a string")
-    tgt = obj.get("tgt")
+    tgt, meta = obj.get("tgt"), obj.get("meta")
     return CorpusRecord(
         id=obj["id"],
         lang=obj["lang"],
         split=obj.get("split", "train"),
         src=obj["src"],
-        tgt=tuple(from_line(tgt)) if tgt is not None else None,
+        tgt=tuple(from_line(tgt)) if isinstance(tgt, str) else tgt,
         provenance=obj.get("provenance", "gold"),
         quality=obj.get("quality"),
-        meta=meta,
+        meta={} if meta is None else meta,
     )
 
 

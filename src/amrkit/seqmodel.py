@@ -45,6 +45,15 @@ def stable_hash(text: str) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
+def _token_error(exc: KeyError, what: str) -> ValueError:
+    """The ValueError for the token that a lookup of ``what``'s tokens in
+    the vocabulary less BOS missed: BOS itself, or a token outside it."""
+    token = exc.args[0]
+    if token == BOS:
+        return ValueError(f"{what} may not contain BOS")
+    return ValueError(f"token {token!r} not in vocabulary")
+
+
 def check_ends_with_eos(target: Sequence[str]) -> None:
     """Raise ValueError unless ``target`` is a non-empty sequence ending in EOS."""
     if not target or target[-1] != EOS:
@@ -90,10 +99,11 @@ class ToyCondModel(SeqModel):
     The conditioning key is (hashed bag of source tokens, last ``order - 1``
     prefix tokens, BOS-padded); ``order`` is at most ``MAX_ORDER``.  Only
     those last tokens are looked up, so a token outside the vocabulary
-    earlier in the prefix is never seen.  ``alpha`` smoothing mass is spread
-    over every vocabulary entry except BOS.  Training only ever adds to counts,
-    so repeated observation of one pair converges to that pair's empirical
-    distribution with an alpha-dependent floor.  The model keeps the hashes
+    earlier in the prefix is never seen; BOS or a token outside the
+    vocabulary among them raises ValueError.  ``alpha`` smoothing mass is
+    spread over every vocabulary entry except BOS.  Training only ever adds
+    to counts, so repeated observation of one pair converges to that pair's
+    empirical distribution with an alpha-dependent floor.  The model keeps the hashes
     of the last few hundred distinct sources it was asked about, so a decode
     of a chunk of sentences, whose steps switch sources row by row, hashes
     each source once.  ``alpha`` is read-only: the smoothing row is built
@@ -123,6 +133,8 @@ class ToyCondModel(SeqModel):
         self._smooth[self.index(BOS)] = 0.0
         self._zero = np.zeros(v)
         self._bos = self.index(BOS)
+        # the ids of every token but BOS, which no prefix or target holds
+        self._ids = {tok: i for tok, i in self._index.items() if i != self._bos}
         # tuple(src) -> its hash, oldest first; bounded so a long run over
         # many sentences keeps only the recent ones
         self._src_hash: dict[tuple[str, ...], int] = {}
@@ -148,9 +160,9 @@ class ToyCondModel(SeqModel):
         if n == 0:
             return ()
         try:
-            ids = tuple(map(self._index.__getitem__, prefix[-n:]))
+            ids = tuple(map(self._ids.__getitem__, prefix[-n:]))
         except KeyError as exc:
-            raise ValueError(f"token {exc.args[0]!r} not in vocabulary") from None
+            raise _token_error(exc, "prefix") from None
         return (self._bos,) * (n - len(ids)) + ids
 
     def key(self, prefix: Sequence[str], src: Sequence[str]):
@@ -186,12 +198,15 @@ class ToyCondModel(SeqModel):
         row[self._bos] = 0.0
 
     def observe(self, src: Sequence[str], target: Sequence[str]) -> None:
-        """Count one teacher-forced pass over a target ending in EOS."""
+        """Count one teacher-forced pass over a target ending in EOS.  The
+        whole target is checked (no BOS, every token in the vocabulary)
+        before any count changes."""
         check_ends_with_eos(target)
-        for t, token in enumerate(target):
-            if token == BOS:
-                raise ValueError("target sequence may not contain BOS")
-            idx = self.index(token)
+        try:
+            ids = list(map(self._ids.__getitem__, target))
+        except KeyError as exc:
+            raise _token_error(exc, "target sequence") from None
+        for t, idx in enumerate(ids):
             self._row(target[:t], src)[idx] += 1.0
 
     # -- persistence ---------------------------------------------------------
@@ -216,7 +231,9 @@ class ToyCondModel(SeqModel):
     def load(cls, path: str) -> "ToyCondModel":
         """Read a model written by ``save``.  Raises ValueError naming the
         file on anything else, before a malformed table can reach decoding:
-        a count row whose key no query can reach, or a key given twice, too."""
+        a count row whose key no query can reach (a bucket or token id that is
+        not an int in range, a context of another length than ``order - 1``,
+        BOS after a real token), or a key given twice, too."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
 
@@ -249,9 +266,14 @@ class ToyCondModel(SeqModel):
         need(not table.size or 0 <= table.min() <= table.max() < _MAX_COUNT,
              f"counts are not numbers in [0, {_MAX_COUNT:g})")
         need(not table[:, model._bos].any(), f"counts give {BOS!r} a nonzero entry")
-        buckets, ids = range(model.buckets), set(range(len(vocab)))
-        for k, (bucket, context) in enumerate(keys):  # each a key that ``key`` can return
-            if not (bucket in buckets and len(context) == model.order - 1 and ids.issuperset(context)):
+        # each a key that ``key`` can return: an int bucket below ``buckets``,
+        # then order - 1 int token ids, where BOS is only leading padding
+        buckets, ids, bos = range(model.buckets), set(range(len(vocab))), model._bos
+        int_context = (int,) * (model.order - 1)
+        for k, (bucket, context) in enumerate(keys):
+            if not (type(bucket) is int and bucket in buckets
+                    and tuple(map(type, context)) == int_context and ids.issuperset(context)
+                    and (bos not in context or bos not in context[context.count(bos):])):
                 raise ValueError(f"{path}: counts[{k}] is a row no query reaches "
                                  f"(bucket {bucket!r}, context {list(context)!r})")
         need(len(model.counts) == len(keys), "counts give one key twice")

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from amrkit.decode import (
@@ -130,8 +130,15 @@ class TestToyCondModel:
         (3, [(0, [0])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[0\]\)"),
         (3, [(0, "ab")], r"counts\[0\] is a row no query reaches \(bucket 0, context \['a', 'b'\]\)"),
         (3, [(0, [0, 77])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[0, 77\]\)"),
+        (3, [(0, [0, 2]), (0, [2, 0])],
+         r"counts\[1\] is a row no query reaches \(bucket 0, context \[2, 0\]\)"),
+        (2, [(1.0, [2])], r"counts\[0\] is a row no query reaches \(bucket 1.0, context \[2\]\)"),
+        (2, [(True, [2])], r"counts\[0\] is a row no query reaches \(bucket True, context \[2\]\)"),
+        (2, [(0, [2.0])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[2.0\]\)"),
+        (2, [(0, [True])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[True\]\)"),
         (2, [(0, [2]), (1, [2]), (0, [2])], "counts give one key twice"),  # 3 rows would load as 2
     ], ids=["bucket-past-buckets", "context-too-short", "context-a-string", "token-id-past-vocab",
+            "bos-after-a-token", "float-bucket", "bool-bucket", "float-token-id", "bool-token-id",
             "key-given-twice"])
     def test_load_rejects_rows_no_query_reaches(self, tmp_path, order, keys, message):
         # save would write such a table back, and no next_dist would read it
@@ -142,6 +149,47 @@ class TestToyCondModel:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
             ToyCondModel.load(str(path))
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(order=st.integers(1, 3), buckets=st.integers(1, 4), steps=st.lists(
+        st.tuples(st.booleans(), st.lists(st.sampled_from(("x", "y", "z")), max_size=3),
+                  st.lists(st.sampled_from(("a", "b", EOS)), max_size=4),
+                  st.lists(st.floats(0, 10), min_size=4, max_size=4)),
+        max_size=6))
+    def test_trained_counts_save_and_load_back(self, tmp_path, order, buckets, steps):
+        # every row that observe and add_dist_counts make is one a query reaches
+        m = ToyCondModel(V4, order=order, alpha=0.5, buckets=buckets)
+        for observe, src, tokens, dist in steps:
+            if observe:
+                m.observe(src, tokens + [EOS])
+            else:
+                m.add_dist_counts(tokens, src, np.array(dist))
+        path = str(tmp_path / "model.json")
+        m.save(path)
+        back = ToyCondModel.load(path)
+        assert list(back.counts) == list(m.counts)
+        assert all(type(i) is int for b, ctx in back.counts for i in (b, *ctx))
+        assert all(back.counts[key].tobytes() == row.tobytes() for key, row in m.counts.items())
+
+    def test_prefix_may_not_hold_bos(self):
+        m = ToyCondModel(V4, order=3)
+        for prefix in (["a", BOS], [BOS], ["b", BOS, "a"]):
+            with pytest.raises(ValueError, match="^prefix may not contain BOS$"):
+                m.next_dist(prefix, ["s"])
+        # BOS before the window is never read
+        m.next_dist([BOS, "a", "b"], ["s"])
+
+    @pytest.mark.parametrize("target, message", [
+        (["a", BOS, EOS], "target sequence may not contain BOS"),
+        (["a", "zzz", EOS], "token 'zzz' not in vocabulary"),
+        (["a", "b"], "target sequence must end with EOS"),
+    ])
+    def test_observe_checks_the_whole_target_first(self, target, message):
+        m = ToyCondModel(V4, order=2)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            m.observe(["s"], target)
+        assert not m.counts
 
     def test_vocab_needs_sentinels(self):
         with pytest.raises(ValueError):
@@ -900,6 +948,13 @@ class TestTrain:
 
 
 class TestKdBatchesFromCorpus:
+    def test_null_src_en_counts_as_absent(self):
+        # as in bt_filter: the teacher then reads the record's own source
+        rec = CorpusRecord("r", "DE", "train", "ein satz", tgt=("a",), provenance="seq-kd",
+                           meta={"src_en": None})
+        (batch,) = kd_batches_from_corpus([rec])
+        assert batch.records == (KdRecord(("ein", "satz"), ("ein", "satz"), ("a", EOS)),)
+
     def test_round_trip_fields(self):
         teacher = deterministic_model(LINEAR_VOCAB, ["(", "<V0>", "boy", ")"])
         records = seq_kd_build(

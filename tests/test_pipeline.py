@@ -1,11 +1,17 @@
+import json
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from amrkit.linearize import from_line
 from amrkit.pipeline import (
+    LANGS,
     AdapterError,
     CorpusRecord,
     HashEmbedding,
@@ -381,6 +387,32 @@ class TestCorpusRecord:
         with pytest.raises(ValueError, match="unknown split 'valid'"):
             CorpusRecord("x", "EN", "valid", "hi", tgt=("a",))
 
+    @pytest.mark.parametrize("field, message", [
+        ({"quality": True}, "record field 'quality' has type bool"),
+        ({"id": 5}, "record field 'id' has type int"),
+        ({"meta": {"src_en": 5}}, "record field 'meta.src_en' is not a string"),
+        ({"meta": None}, "record field 'meta' has type NoneType"),
+        ({"tgt": ["a"]}, "record field 'tgt' has type list"),
+        ({"tgt": ("a", 1)}, "record field 'tgt' holds a token that is not a string"),
+        ({"tgt": ("a b", "")}, "record field 'tgt' does not read back from its line form"),
+        ({"tgt": ('"a', "b")}, "record field 'tgt' does not read back from its line form"),
+    ], ids=repr)
+    def test_rejects_what_would_not_read_back(self, field, message):
+        # the writer would write each of these, and the reader refuse it or
+        # read it back changed
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CorpusRecord(**{"id": "x", "lang": "EN", "split": "train", "src": "hi",
+                            "tgt": ("a",), **field})
+
+    def test_types_are_checked_before_values(self):
+        # in field order, then meta.src_en, then the values
+        with pytest.raises(ValueError, match="'id' has type int"):
+            CorpusRecord(5, "FR", "train", "hi", quality=True)
+        with pytest.raises(ValueError, match="'quality' has type bool"):
+            CorpusRecord("x", "FR", "train", "hi", quality=True, meta={"src_en": 5})
+        with pytest.raises(ValueError, match="'meta.src_en' is not a string"):
+            CorpusRecord("x", "FR", "train", "hi", tgt=("a b",), meta={"src_en": 5})
+
     def test_foreign_gold_test_records_allowed(self):
         rec = CorpusRecord("x", "DE", "test", "hallo", tgt=("a",), provenance="gold")
         assert rec.lang == "DE"
@@ -420,6 +452,33 @@ class TestCorpusStats:
         assert "English(EN)" in table and "Chinese(ZH)" in table
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+# the characters that decide a line form: whitespace, quotes and backslashes
+_LINE_CHARS = st.sampled_from('ab()" \\\t\n\u3000\x85:é')
+_RECORD_FIELDS = st.fixed_dictionaries({
+    "id": st.text(),
+    "lang": st.sampled_from(LANGS),
+    "split": st.sampled_from(("train", "dev", "test")),
+    "src": st.text(),
+    # most tuples of random tokens do not survive the line form; every line
+    # read by from_line does
+    "tgt": st.none() | st.lists(st.text(_LINE_CHARS, max_size=5), max_size=6).map(tuple)
+           | st.text(_LINE_CHARS).map(lambda line: tuple(from_line(line))),
+    "provenance": st.sampled_from(("gold", "silver-mt", "seq-kd")),
+    "quality": st.none() | st.floats(-1, 1) | st.sampled_from((True, -1, 0, 1, 2)),
+    "meta": st.dictionaries(st.text(), _JSON_VALUES, max_size=3)
+            | st.fixed_dictionaries({"src_en": st.none() | st.text() | st.integers()}),
+})
+
+
+# the fewest fields of a record that reads
+_OBJ = {"id": "x", "lang": "EN", "src": "hi", "tgt": "a"}
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         records = [
@@ -437,3 +496,36 @@ class TestJsonl:
         write_corpus_jsonl(path, records)
         back = read_corpus_jsonl(path)
         assert back == records
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fields=_RECORD_FIELDS)
+    def test_every_record_the_constructor_accepts_reads_back_equal(self, tmp_path, fields):
+        try:
+            rec = CorpusRecord(**fields)
+        except ValueError:
+            return
+        path = str(tmp_path / "one.jsonl")
+        write_corpus_jsonl(path, [rec])
+        assert read_corpus_jsonl(path) == [rec]
+
+    @pytest.mark.parametrize("obj, message", [
+        ({**_OBJ, "meta": []}, "record field 'meta' has type list"),
+        ({**_OBJ, "meta": 0}, "record field 'meta' has type int"),
+        ({**_OBJ, "tgt": ["a"]}, "record field 'tgt' has type list"),
+        ({**_OBJ, "split": None}, "record field 'split' has type NoneType"),
+        ({**_OBJ, "meta": {"src_en": [1]}}, "record field 'meta.src_en' is not a string"),
+        ({**_OBJ, "tgt": None}, "gold records need a target"),
+        (["x"], "expected a JSON object, got list"),
+        ({"lang": "EN", "src": "hi"}, "record has no 'id' field"),
+    ], ids=repr)
+    def test_reader_messages(self, tmp_path, obj, message):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:1: {message}')}$"):
+            read_corpus_jsonl(str(path))
+
+    def test_null_meta_reads_as_empty(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({**_OBJ, "meta": None}) + "\n")
+        assert read_corpus_jsonl(str(path)) == [CorpusRecord("x", "EN", "train", "hi", tgt=("a",))]
