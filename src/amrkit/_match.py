@@ -11,10 +11,15 @@ The matching problem is encoded as integer arrays once per graph pair:
 
 A mapping's score is the exact multiset overlap of the two triple sets.
 ``score_mapping`` scores one mapping or every row of an array of mappings
-and ``hill_climb`` is the vectorized NumPy local search.  ``exact_mapping``
-finds the optimum of any size as a small integer linear program (scipy's
-``milp``, imported on first use) and rescores its answer with
-``score_mapping``, so the climber can never report more than it.
+and ``hill_climb`` is the vectorized NumPy local search.  The climber reads
+every gain from one table built per call, ``gain[k, a, c]``: what a bucket
+of key k, a distinct (label, count) among the pred buckets that are not
+self-loops, matches with its ends at gold columns a and c.  The table has
+an extra row and column, n2, for "unmapped", which holds 0, so no step
+masks unmapped ends.  ``exact_mapping`` finds the optimum of any size as a
+small integer linear program (scipy's ``milp``, imported on first use) and
+rescores its answer with ``score_mapping``, so the climber can never report
+more than it.
 """
 
 from __future__ import annotations
@@ -26,21 +31,15 @@ __all__ = ["BACKEND", "score_mapping", "hill_climb", "exact_mapping"]
 BACKEND = "numpy"
 
 
-def _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel):
-    """Matched relation triples of each pred bucket under ``mapping``: shape
-    (nb,) for one mapping, (rows, nb) for a 2-D array of mapping rows."""
-    j = mapping[..., rsrc]
-    l = mapping[..., rtgt]
-    ok = (j >= 0) & (l >= 0)
-    g = grel[np.where(ok, j, 0), np.where(ok, l, 0), rlab]
-    return np.where(ok, np.minimum(g, rcnt), 0)
-
-
 def score_mapping(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
     """The score of one mapping, or of each row of a 2-D array of mappings."""
     ok = mapping >= 0
     node = unary[np.arange(unary.shape[0]), np.where(ok, mapping, 0)]
-    overlap = _bucket_overlap(mapping, rsrc, rtgt, rlab, rcnt, grel)
+    j = mapping[..., rsrc]
+    l = mapping[..., rtgt]
+    both = (j >= 0) & (l >= 0)
+    g = grel[np.where(both, j, 0), np.where(both, l, 0), rlab]
+    overlap = np.where(both, np.minimum(g, rcnt), 0)
     return np.where(ok, node, 0).sum(axis=-1) + overlap.sum(axis=-1)
 
 
@@ -50,79 +49,99 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
     Mutates ``mapping`` in place and returns its final score.  Each step
     scores every move at once from two gain tables: ``remap[i, j]`` for
     mapping pred variable i to gold variable j (column n2: unmapped) and
-    ``swap[i, k]`` for exchanging the targets of i < k.  The move taken is
+    ``swap[i, k]`` for exchanging the targets of i and k.  The move taken is
     the first strictly best one in a scan of remaps (by i, then j) followed
-    by swaps (by i, then k), so the result is deterministic given the
+    by swaps (by i, then k > i), so the result is deterministic given the
     starting mapping.
+
+    Both tables are lookups into ``gain`` (see the module docstring), built
+    once per call: ``remap`` sums one gathered row of it per bucket end,
+    and each bucket's correction to ``swap`` is four entries of it.
     """
     n1, n2 = unary.shape
     if n1 == 0 or n2 == 0:
         return 0
-    cur = int(score_mapping(mapping, unary, rsrc, rtgt, rlab, rcnt, grel))
 
-    # Column n2 of the gain tables stands for "unmapped".  A self-loop bucket
-    # depends on one variable only, so it scores like a unary term.
+    # A self-loop bucket depends on one variable only, so it scores like a
+    # unary term.  Column n2 of static stands for "unmapped" and holds 0.
     loop = rsrc == rtgt
     static = np.zeros((n1, n2 + 1), np.int64)
     static[:, :n2] = unary
     diag = np.arange(n2)
     loop_gain = np.minimum(grel[diag, diag][:, rlab[loop]].T, rcnt[loop][:, None])
     np.add.at(static[:, :n2], rsrc[loop], loop_gain)
-    src, tgt, lab, cnt = rsrc[~loop], rtgt[~loop], rlab[~loop], rcnt[~loop]
-    pair = (np.minimum(src, tgt), np.maximum(src, tgt))
+    src, tgt = rsrc[~loop], rtgt[~loop]
+
+    # gain[key[b], a, c] is what bucket b matches with src[b] at column a and
+    # tgt[b] at column c; slice nk + k is the transpose of slice k.  Its
+    # entries are triple counts, so int32 holds them, at half the memory.
+    keys: dict[tuple[int, int], int] = {}
+    lab_cnt = zip(rlab[~loop].tolist(), rcnt[~loop].tolist())
+    key = np.array([keys.setdefault(k, len(keys)) for k in lab_cnt], np.int64)
+    nk = len(keys)
+    labs, cnts = np.array(list(keys), np.int64).reshape(nk, 2).T
+    gain = np.zeros((2 * nk, n2 + 1, n2 + 1), np.int32)
+    np.minimum(np.moveaxis(grel[:, :, labs], 2, 0), cnts[:, None, None], out=gain[:nk, :n2, :n2])
+    gain[nk:] = gain[:nk].transpose(0, 2, 1)
+
+    # One gathered row per bucket end, grouped by variable: what the bucket
+    # matches with that end at each column, the other end's column fixed.
+    ends = np.concatenate([src, tgt])
+    order = np.argsort(ends)
+    ends, other = ends[order], np.concatenate([tgt, src])[order]
+    end_key = np.concatenate([key + nk, key])[order]
+    first = np.flatnonzero(np.diff(ends, prepend=-1))
+    hit = ends[first]
+
+    # The loop moves columns, n2 for "unmapped"; used[n2] is never read.
     rows = np.arange(n1)
-    upper_i, upper_k = np.triu_indices(n1, 1)
-    used = np.zeros(n2, bool)
-    used[mapping[mapping >= 0]] = True
+    col = np.where(mapping >= 0, mapping, n2)
+    used = np.zeros(n2 + 1, bool)
+    used[col] = True
+    cur = int(static[rows, col].sum() + gain[key, col[src], col[tgt]].sum())
 
     while True:
-        col = np.where(mapping >= 0, mapping, n2)
-        ms, mt = mapping[src], mapping[tgt]
-        ms0, mt0 = np.maximum(ms, 0), np.maximum(mt, 0)
+        cs, ct = col[src], col[tgt]
 
         # held[i, j]: triples matched through i when i alone maps to j, the
         # other variables fixed; remap is its change from i's current column.
         held = static.copy()
-        as_src = np.minimum(grel[:, mt0, lab].T, cnt[:, None])
-        as_tgt = np.minimum(grel[ms0, :, lab], cnt[:, None])
-        np.add.at(held[:, :n2], src, np.where(mt[:, None] >= 0, as_src, 0))
-        np.add.at(held[:, :n2], tgt, np.where(ms[:, None] >= 0, as_tgt, 0))
+        held[hit] += np.add.reduceat(gain[end_key, col[other]], first, axis=0)
         remap = held - held[rows, col][:, None]
 
         # swap[i, k] = remap[i, col[k]] + remap[k, col[i]], corrected for each
         # bucket joining i and k: both remap terms took off its old value and
         # scored it with the other end unmoved (seen_s, seen_t), where the
-        # swap moves both ends (moved).
+        # swap moves both ends (moved).  swap is symmetric with a zero
+        # diagonal, so its first maximum in row-major order has i < k, and
+        # two unmapped variables swap for 0.
         swap = remap[:, col]
+        moved, old = gain[key, ct, cs], gain[key, cs, ct]
+        seen_s, seen_t = gain[key, ct, ct], gain[key, cs, cs]
+        np.add.at(swap, (src, tgt), moved + old - seen_s - seen_t)
         swap = swap + swap.T
-        old = _bucket_overlap(mapping, src, tgt, lab, cnt, grel)
-        moved = np.where((ms >= 0) & (mt >= 0), np.minimum(grel[mt0, ms0, lab], cnt), 0)
-        seen_s = np.where(mt >= 0, np.minimum(grel[mt0, mt0, lab], cnt), 0)
-        seen_t = np.where(ms >= 0, np.minimum(grel[ms0, ms0, lab], cnt), 0)
-        np.add.at(swap, pair, moved + old - seen_s - seen_t)
 
         best_gain, best_i, best_j, best_k = 0, -1, -1, -1
-        free = np.flatnonzero(~used)
+        free = np.flatnonzero(~used[:n2])
         if free.size:
             cand = remap[:, free]
             p = int(np.argmax(cand))
             if cand.flat[p] > best_gain:
                 best_i, q = divmod(p, free.size)
                 best_gain, best_j = int(cand.flat[p]), free[q]
-        if upper_i.size:
-            cand = np.where(mapping[upper_i] != mapping[upper_k], swap[upper_i, upper_k], 0)
-            p = int(np.argmax(cand))
-            if cand[p] > best_gain:
-                best_gain, best_i, best_k = int(cand[p]), upper_i[p], upper_k[p]
+        p = int(np.argmax(swap))
+        if swap.flat[p] > best_gain:
+            best_gain = int(swap.flat[p])
+            best_i, best_k = divmod(p, n1)
         if best_gain <= 0:
+            mapping[:] = np.where(col < n2, col, -1)
             return cur
         if best_k < 0:
-            if mapping[best_i] >= 0:
-                used[mapping[best_i]] = False
-            mapping[best_i] = best_j
+            used[col[best_i]] = False
+            col[best_i] = best_j
             used[best_j] = True
         else:
-            mapping[best_i], mapping[best_k] = mapping[best_k], mapping[best_i]
+            col[[best_i, best_k]] = col[[best_k, best_i]]
         cur += best_gain
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import locale
 import logging
+import math
 import os
 import random
 import shlex
@@ -76,6 +77,45 @@ _FIELD_TYPES = {
 }
 
 
+def _json_children(value: list | dict):
+    """An iterator over a list's items or a dict's values; raises
+    ValueError on a dict key that is not a string."""
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise ValueError(f"record field 'meta' has a key of type {type(key).__name__}")
+        return iter(value.values())
+    return iter(value)
+
+
+def _check_json_data(meta: dict) -> None:
+    """Raise ValueError unless ``meta`` is data that JSON writes and reads
+    back equal: string keys; str, int, finite float, bool, None, list and
+    dict values, recursively.  One visit per value, with no recursion; a
+    list or dict inside itself is refused."""
+    # the walk's open lists and dicts, outermost first, each with the
+    # iterator over what it holds
+    stack = [(id(meta), _json_children(meta))]
+    open_ids = {id(meta)}
+    while stack:
+        for value in stack[-1][1]:
+            if isinstance(value, (str, int, type(None))):
+                continue
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    raise ValueError(f"record field 'meta' holds the non-finite number {value!r}")
+            elif isinstance(value, (list, dict)):
+                if id(value) in open_ids:
+                    raise ValueError("record field 'meta' holds itself")
+                open_ids.add(id(value))
+                stack.append((id(value), _json_children(value)))
+                break
+            else:
+                raise ValueError(f"record field 'meta' holds a value of type {type(value).__name__}")
+        else:
+            open_ids.remove(stack.pop()[0])
+
+
 @dataclass(frozen=True)
 class CorpusRecord:
     """One training-corpus row, and the one statement of its rules.
@@ -85,12 +125,13 @@ class CorpusRecord:
     linearized-graph token tuple (or None for unlabeled rows) that survives
     its line form, ``from_line(to_line(tgt)) == list(tgt)``; ``quality`` is a
     number in [-1, 1] or None and is set only by the consistency filter;
-    ``meta`` is a dict whose ``src_en``, when present and not None, is a
-    string.  A bool is never a number or a string.  Gold provenance needs a
-    target, and in the train split is English-only: foreign-language
-    training data is always constructed, never annotated.  Raises ValueError
-    on the first broken rule: the types in field order, then ``src_en``,
-    then the values.
+    ``meta`` is a dict of JSON data (see ``_check_json_data``) whose
+    ``src_en``, when present and not None, is a string.  A bool is never a
+    number or a string.  Gold provenance needs a target, and in the train
+    split is English-only: foreign-language training data is always
+    constructed, never annotated.  Raises ValueError on the first broken
+    rule: the types in field order, then ``meta``'s contents and its
+    ``src_en``, then the values.
     """
 
     id: str
@@ -112,6 +153,7 @@ class CorpusRecord:
             line = to_line(tgt)
         except TypeError:
             raise ValueError("record field 'tgt' holds a token that is not a string") from None
+        _check_json_data(self.meta)
         if not isinstance(self.meta.get("src_en"), (str, type(None))):
             raise ValueError("record field 'meta.src_en' is not a string")
         if self.lang not in LANGS:

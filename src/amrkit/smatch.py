@@ -216,15 +216,19 @@ def smatch_exact(pred: AmrGraph, gold: AmrGraph) -> SmatchResult:
 
 
 def _smart_init(prob: _Problem, rng: np.random.RandomState) -> np.ndarray:
-    n1, n2 = prob.unary.shape
-    mapping = np.full(n1, -1, np.int64)
+    """Restart 0's start: each pred variable in order takes the first gold
+    variable of its concept that no earlier one took; the variables left
+    over are paired at random."""
+    n2 = prob.unary.shape[1]
+    # per concept, its gold variables last to first, so pop() gives the next
+    gold_of: dict[int, list[int]] = {}
+    concepts = prob.gold_concepts.tolist()
+    for j in range(n2 - 1, -1, -1):
+        gold_of.setdefault(concepts[j], []).append(j)
+    mapping = np.array([gold_of[c].pop() if gold_of.get(c) else -1
+                        for c in prob.pred_concepts.tolist()], np.int64)
     used = np.zeros(n2, bool)
-    for i in range(n1):
-        for j in range(n2):
-            if not used[j] and prob.pred_concepts[i] == prob.gold_concepts[j]:
-                mapping[i] = j
-                used[j] = True
-                break
+    used[mapping[mapping >= 0]] = True
     free = np.flatnonzero(~used)
     open_pred = np.flatnonzero(mapping < 0)
     k = min(len(free), len(open_pred))

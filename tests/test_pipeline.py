@@ -392,6 +392,14 @@ class TestCorpusRecord:
         ({"id": 5}, "record field 'id' has type int"),
         ({"meta": {"src_en": 5}}, "record field 'meta.src_en' is not a string"),
         ({"meta": None}, "record field 'meta' has type NoneType"),
+        # JSON writes an int key as a string and a tuple as a list, refuses a
+        # set part-way through a file, and writes NaN, which is not JSON
+        ({"meta": {1: "x"}}, "record field 'meta' has a key of type int"),
+        ({"meta": {"k": (1, 2)}}, "record field 'meta' holds a value of type tuple"),
+        ({"meta": {"k": {1, 2}}}, "record field 'meta' holds a value of type set"),
+        ({"meta": {"q": math.nan}}, "record field 'meta' holds the non-finite number nan"),
+        ({"meta": {"k": [1, {"q": -math.inf}]}},
+         "record field 'meta' holds the non-finite number -inf"),
         ({"tgt": ["a"]}, "record field 'tgt' has type list"),
         ({"tgt": ("a", 1)}, "record field 'tgt' holds a token that is not a string"),
         ({"tgt": ("a b", "")}, "record field 'tgt' does not read back from its line form"),
@@ -404,12 +412,23 @@ class TestCorpusRecord:
             CorpusRecord(**{"id": "x", "lang": "EN", "split": "train", "src": "hi",
                             "tgt": ("a",), **field})
 
+    def test_meta_holding_itself_is_rejected(self):
+        meta = {"k": []}
+        meta["k"].append(meta)
+        with pytest.raises(ValueError, match="^record field 'meta' holds itself$"):
+            CorpusRecord("x", "EN", "train", "hi", tgt=("a",), meta=meta)
+        # a value held twice, not inside itself, is JSON data
+        shared = [1]
+        CorpusRecord("x", "EN", "train", "hi", tgt=("a",), meta={"a": shared, "b": [shared]})
+
     def test_types_are_checked_before_values(self):
-        # in field order, then meta.src_en, then the values
+        # in field order, then meta's contents and meta.src_en, then the values
         with pytest.raises(ValueError, match="'id' has type int"):
             CorpusRecord(5, "FR", "train", "hi", quality=True)
         with pytest.raises(ValueError, match="'quality' has type bool"):
             CorpusRecord("x", "FR", "train", "hi", quality=True, meta={"src_en": 5})
+        with pytest.raises(ValueError, match="'meta' holds a value of type tuple"):
+            CorpusRecord("x", "FR", "train", "hi", tgt=("a b",), meta={"src_en": (5,)})
         with pytest.raises(ValueError, match="'meta.src_en' is not a string"):
             CorpusRecord("x", "FR", "train", "hi", tgt=("a b",), meta={"src_en": 5})
 
@@ -457,6 +476,12 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
     max_leaves=6,
 )
+# values JSON writes changed, or not at all, inside a JSON value
+_NOT_JSON = st.recursive(
+    st.floats() | st.tuples(st.integers()) | st.frozensets(st.integers(), max_size=2),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(), inner, max_size=2),
+    max_leaves=3,
+)
 # the characters that decide a line form: whitespace, quotes and backslashes
 _LINE_CHARS = st.sampled_from('ab()" \\\t\n\u3000\x85:é')
 _RECORD_FIELDS = st.fixed_dictionaries({
@@ -471,6 +496,7 @@ _RECORD_FIELDS = st.fixed_dictionaries({
     "provenance": st.sampled_from(("gold", "silver-mt", "seq-kd")),
     "quality": st.none() | st.floats(-1, 1) | st.sampled_from((True, -1, 0, 1, 2)),
     "meta": st.dictionaries(st.text(), _JSON_VALUES, max_size=3)
+            | st.dictionaries(st.text() | st.integers(), _JSON_VALUES | _NOT_JSON, max_size=3)
             | st.fixed_dictionaries({"src_en": st.none() | st.text() | st.integers()}),
 })
 
@@ -515,6 +541,7 @@ class TestJsonl:
         ({**_OBJ, "tgt": ["a"]}, "record field 'tgt' has type list"),
         ({**_OBJ, "split": None}, "record field 'split' has type NoneType"),
         ({**_OBJ, "meta": {"src_en": [1]}}, "record field 'meta.src_en' is not a string"),
+        ({**_OBJ, "meta": {"q": math.nan}}, "record field 'meta' holds the non-finite number nan"),
         ({**_OBJ, "tgt": None}, "gold records need a target"),
         (["x"], "expected a JSON object, got list"),
         ({"lang": "EN", "src": "hi"}, "record has no 'id' field"),

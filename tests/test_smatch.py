@@ -1,7 +1,9 @@
+import hashlib
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from amrkit.smatch import (
     CountMismatch,
     _pair_upper,
     _Problem,
+    _random_init,
     align_records,
     corpus_smatch,
     smatch_exact,
@@ -107,6 +110,36 @@ def _with_repeated_edge(rng: np.random.RandomState, g: AmrGraph) -> AmrGraph:
     if not rels or rng.randint(2):
         return g
     return AmrGraph(g.nodes, g.edges + (rels[rng.randint(len(rels))],), g.root).check()
+
+
+def _graph_of_at_least(rng: np.random.RandomState, n: int, max_vars: int = 40) -> AmrGraph:
+    """A ``random_graph`` of ``n`` to ``max_vars`` variables."""
+    while True:
+        g = random_graph(rng, max_vars)
+        if len(g.var_nodes()) >= n:
+            return g
+
+
+def _climb_digest_pairs() -> list[tuple[AmrGraph, AmrGraph]]:
+    """The pairs behind ``HILL_CLIMB_DIGEST``: 400 ``random_pair``s, then 100
+    pairs of 10 to 40 variables, each side decorated with self-loops and
+    repeated edges, the gold side unrelated or a renamed copy."""
+    rng = np.random.RandomState(2013)
+    pairs = [random_pair(rng) for _ in range(400)]
+    for k in range(100):
+        pred = _with_repeated_edge(rng, _decorated(rng, _graph_of_at_least(rng, 10)))
+        if k % 2:
+            gold = rename_vars(pred, "g")
+        else:
+            gold = _with_repeated_edge(rng, _decorated(rng, _graph_of_at_least(rng, 10)))
+        pairs.append((pred, gold))
+    return pairs
+
+
+# SHA-256 of the reprs of ``smatch_hill_climb`` over ``_climb_digest_pairs``
+# (restarts 4, pair k seeded with k), one per line, as the climber that
+# rebuilt its gain masks every step gave them.
+HILL_CLIMB_DIGEST = "6112763c835d8cf1e4048d43ad66c8a89e9735d510b6aae03fa578d0e7774b5a"
 
 
 def _loaded_by_import(module: str, then: str = "") -> bool:
@@ -221,6 +254,12 @@ class TestHillClimb:
             smatch_hill_climb(pred, gold, restarts=2, seed=0).matched
             <= smatch_exact(pred, gold).matched
         )
+
+    def test_results_match_pinned_digest(self):
+        lines = (repr(smatch_hill_climb(pred, gold, restarts=4, seed=k))
+                 for k, (pred, gold) in enumerate(_climb_digest_pairs()))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == HILL_CLIMB_DIGEST
 
     def test_restarts_validated(self):
         with pytest.raises(ValueError):
@@ -468,6 +507,44 @@ class TestBackendParity:
             s2 = reference_hill_climb(m2, *prob.kernel_args())
             assert s1 == s2
             assert np.array_equal(m1, m2)
+
+    def test_hill_climb_matches_reference_with_unmapped_variables(self):
+        # 20 to 40 variables, a pred self-loop and a pred bucket of count 2,
+        # sides of different sizes and starts that leave variables unmapped
+        # on both sides: the climber's table lookups at its unmapped row and
+        # column, against moves rescored from scratch
+        rng = np.random.RandomState(36)
+        for _ in range(10):
+            pred = _graph_of_at_least(rng, 20)
+            gold = _with_repeated_edge(rng, _decorated(rng, _graph_of_at_least(rng, 20)))
+            while len(gold.var_nodes()) == len(pred.var_nodes()):
+                gold = _decorated(rng, _graph_of_at_least(rng, 20))
+            v = pred.var_nodes()[rng.randint(len(pred.var_nodes()))].id
+            rel = next(e for e in pred.edges if not pred.node(e.tgt).constant)
+            pred = AmrGraph(pred.nodes, pred.edges + (Edge(v, ":mod", v), rel), pred.root).check()
+            prob = _Problem(pred, gold)
+            (n1, n2), args = prob.unary.shape, prob.kernel_args()
+            assert (prob.rsrc == prob.rtgt).any() and (prob.rcnt > 1).any()
+            k = rng.randint(min(n1, n2))
+            init = np.full(n1, -1, np.int64)
+            init[rng.permutation(n1)[:k]] = rng.permutation(n2)[:k]
+            m1, m2 = init.copy(), init.copy()
+            assert _match.hill_climb(m1, *args) == reference_hill_climb(m2, *args)
+            assert np.array_equal(m1, m2)
+
+    def test_hill_climb_memory_is_a_small_multiple_of_grel(self):
+        # on a pair of 190 to 200 variables: the gain table is about the
+        # size of grel, and building it reads a grel-sized copy of its labels
+        rng = np.random.RandomState(37)
+        prob = _Problem(_graph_of_at_least(rng, 190, 200), _graph_of_at_least(rng, 190, 200))
+        mapping = _random_init(prob, rng)
+        tracemalloc.start()
+        try:
+            _match.hill_climb(mapping, *prob.kernel_args())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * prob.grel.nbytes
 
     @given(kernel_problems())
     @settings(max_examples=400, deadline=None)
