@@ -51,6 +51,7 @@ __all__ = [
     "read_corpus_jsonl",
     "write_corpus_jsonl",
     "ADAPTER_CMD_ENV",
+    "MAX_META_DEPTH",
 ]
 
 log = logging.getLogger(__name__)
@@ -64,6 +65,10 @@ ADAPTER_CMD_ENV = "AMRKIT_ADAPTER_CMD"
 ADAPTER_CHUNK = 256
 # Length of a HashEmbedding vector.
 _EMBED_DIM = 64
+# Most lists and dicts on one path through a record's meta, meta itself
+# included.  Python's json writes and reads about 990 nested lists from a
+# shallow stack; this bound leaves room for the caller's own frames.
+MAX_META_DEPTH = 100
 
 
 class AdapterError(AmrkitError):
@@ -91,8 +96,9 @@ def _json_children(value: list | dict):
 def _check_json_data(meta: dict) -> None:
     """Raise ValueError unless ``meta`` is data that JSON writes and reads
     back equal: string keys; str, int, finite float, bool, None, list and
-    dict values, recursively.  One visit per value, with no recursion; a
-    list or dict inside itself is refused."""
+    dict values, recursively, at most ``MAX_META_DEPTH`` lists and dicts
+    deep.  One visit per value, with no recursion; a list or dict inside
+    itself is refused."""
     # the walk's open lists and dicts, outermost first, each with the
     # iterator over what it holds
     stack = [(id(meta), _json_children(meta))]
@@ -107,6 +113,8 @@ def _check_json_data(meta: dict) -> None:
             elif isinstance(value, (list, dict)):
                 if id(value) in open_ids:
                     raise ValueError("record field 'meta' holds itself")
+                if len(stack) == MAX_META_DEPTH:
+                    raise ValueError(f"record field 'meta' is nested more than {MAX_META_DEPTH} deep")
                 open_ids.add(id(value))
                 stack.append((id(value), _json_children(value)))
                 break

@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import zlib
 from abc import ABC, abstractmethod
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ BOS = "<s>"
 EOS = "</s>"
 
 _FORMAT = "amrkit-toy-model"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 # Bound on a loaded count or alpha: a table row of any realistic vocabulary
 # over such numbers sums to a finite float, so next_dist never divides by inf.
 _MAX_COUNT = 1e300
@@ -212,6 +213,17 @@ class ToyCondModel(SeqModel):
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write the model as JSON, format version 2.  Each count row is
+        ``{"bucket", "context", "ids", "counts"}``: ``ids`` are the
+        ascending vocabulary ids of the row's nonzero entries and ``counts``
+        their values, so an all-zero row keeps its key with empty lists.
+        Rows keep table order, and ``load`` gives back the same keys in the
+        same order with bit-identical rows."""
+        rows = []
+        for (b, ctx), cell in self.counts.items():
+            ids = np.flatnonzero(cell)
+            rows.append({"bucket": b, "context": list(ctx), "ids": ids.tolist(),
+                         "counts": cell[ids].tolist()})
         payload = {
             "format": _FORMAT,
             "version": _FORMAT_VERSION,
@@ -219,27 +231,30 @@ class ToyCondModel(SeqModel):
             "order": self.order,
             "alpha": self.alpha,
             "buckets": self.buckets,
-            "counts": [
-                {"bucket": b, "context": list(ctx), "counts": cell.tolist()}
-                for (b, ctx), cell in self.counts.items()
-            ],
+            "counts": rows,
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
 
     @classmethod
     def load(cls, path: str) -> "ToyCondModel":
-        """Read a model written by ``save``.  Raises ValueError naming the
-        file on anything else, before a malformed table can reach decoding:
-        a count row whose key no query can reach (a bucket or token id that is
-        not an int in range, a context of another length than ``order - 1``,
-        BOS after a real token), or a key given twice, too."""
+        """Read a model written by ``save`` (format version 2 only).  Raises
+        ValueError naming the file on anything else, before a malformed
+        table can reach decoding: ``alpha`` or a count that is not a JSON
+        number (int or float, never bool) in range; a row whose ``ids`` are
+        not ints in ``[0, |vocab|)``, strictly ascending, one per count; a
+        nonzero BOS entry; a count row whose key no query can reach (a bucket
+        or token id that is not an int in range, a context of another length
+        than ``order - 1``, BOS after a real token), or a key given twice."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
 
+        def fail(what: str) -> NoReturn:
+            raise ValueError(f"{path}: {what}")
+
         def need(ok: bool, what: str) -> None:
             if not ok:
-                raise ValueError(f"{path}: {what}")
+                fail(what)
 
         need(isinstance(payload, dict) and payload.get("format") == _FORMAT,
              f"not a {_FORMAT} file")
@@ -249,7 +264,7 @@ class ToyCondModel(SeqModel):
         need(isinstance(vocab, list) and all(isinstance(t, str) for t in vocab),
              '"vocab" is not a list of strings')
         alpha = payload.get("alpha")
-        need(isinstance(alpha, (int, float)) and 0 <= alpha < _MAX_COUNT,
+        need(type(alpha) in (int, float) and 0 <= alpha < _MAX_COUNT,
              f'"alpha" is not a number in [0, {_MAX_COUNT:g})')
         need(isinstance(counts, list), '"counts" is not a list')
         try:
@@ -258,24 +273,57 @@ class ToyCondModel(SeqModel):
             raise ValueError(f"{path}: {exc}") from exc
         try:
             keys = [(entry["bucket"], tuple(entry["context"])) for entry in counts]
-            table = np.array([entry["counts"] for entry in counts], dtype=float)
-            table = table.reshape(len(keys), len(vocab))
-            model.counts.update(zip(keys, table))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            ids = [entry["ids"] for entry in counts]
+            values = [entry["counts"] for entry in counts]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed counts table ({exc!r})") from exc
-        need(not table.size or 0 <= table.min() <= table.max() < _MAX_COUNT,
-             f"counts are not numbers in [0, {_MAX_COUNT:g})")
-        need(not table[:, model._bos].any(), f"counts give {BOS!r} a nonzero entry")
+        need(set(map(type, chain(ids, values))) <= {list},
+             'malformed counts table (an "ids" or "counts" that is not a list)')
+        v = len(vocab)
+        lengths = np.array([len(x) for x in ids], dtype=np.intp)
+        uneven = lengths != np.array([len(x) for x in values], dtype=np.intp)
+        if uneven.any():
+            k = uneven.argmax()
+            fail(f'counts[{k}] gives {len(ids[k])} "ids" for {len(values[k])} "counts"')
+        # the row of each stored entry, so a rule broken by one entry names its row
+        row_of = np.repeat(np.arange(len(ids)), lengths)
+        flat_ids = list(chain.from_iterable(ids))
+        if not (set(map(type, flat_ids)) <= {int} and 0 <= min(flat_ids, default=0)
+                and max(flat_ids, default=0) < v):
+            j = next(j for j, i in enumerate(flat_ids) if type(i) is not int or not 0 <= i < v)
+            fail(f'counts[{row_of[j]}] has the id {flat_ids[j]!r}, not an int in [0, {v})')
+        col = np.array(flat_ids, dtype=np.intp)
+        # row-major positions: strictly ascending over the whole table exactly
+        # when each row's ids are, since every id is below v
+        pos = row_of * v + col
+        rising = np.diff(pos) > 0
+        if not rising.all():
+            fail(f'counts[{row_of[rising.argmin() + 1]}] has "ids" that are not strictly ascending')
+        flat_counts = list(chain.from_iterable(values))
+        counts_rule = f"counts are not numbers in [0, {_MAX_COUNT:g})"
+        need(set(map(type, flat_counts)) <= {int, float}, counts_rule)
+        try:
+            cells = np.array(flat_counts, dtype=float)
+        except OverflowError:
+            fail(counts_rule)
+        need(not cells.size or 0 <= cells.min() <= cells.max() < _MAX_COUNT, counts_rule)
+        need(not cells[col == model._bos].any(), f"counts give {BOS!r} a nonzero entry")
+        try:
+            table = np.zeros((len(keys), v))
+        except MemoryError:
+            # a few bytes of file per row and per token can declare any table
+            fail(f"a {len(keys)} x {v} counts table does not fit in memory")
+        table[row_of, col] = cells
+        model.counts.update(zip(keys, table))
         # each a key that ``key`` can return: an int bucket below ``buckets``,
         # then order - 1 int token ids, where BOS is only leading padding
-        buckets, ids, bos = range(model.buckets), set(range(len(vocab))), model._bos
+        buckets, token_ids, bos = range(model.buckets), set(range(v)), model._bos
         int_context = (int,) * (model.order - 1)
         for k, (bucket, context) in enumerate(keys):
             if not (type(bucket) is int and bucket in buckets
-                    and tuple(map(type, context)) == int_context and ids.issuperset(context)
+                    and tuple(map(type, context)) == int_context and token_ids.issuperset(context)
                     and (bos not in context or bos not in context[context.count(bos):])):
                 raise ValueError(f"{path}: counts[{k}] is a row no query reaches "
                                  f"(bucket {bucket!r}, context {list(context)!r})")
         need(len(model.counts) == len(keys), "counts give one key twice")
         return model
-

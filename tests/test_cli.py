@@ -1,11 +1,15 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import amrkit
 from amrkit.cli import run
 from amrkit.graph import read_amr_file, write_amr_file
 from amrkit.linearize import from_line, linearize, to_line
@@ -80,6 +84,30 @@ class TestExitCodes:
         assert run(["stats", "--in", str(deep), "--format", "table"]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    def test_teacher_table_past_memory_is_exit_two(self, tmp_path):
+        # a model file stores only nonzero counts, so a few bytes per row and
+        # per token declare the dense table: here 2,000 rows of 200,002
+        # entries (3.2 GB) under a 2 GB address-space limit
+        pytest.importorskip("resource")
+        teacher, inputs = tmp_path / "teacher.json", tmp_path / "in.txt"
+        teacher.write_text(json.dumps({
+            "format": "amrkit-toy-model", "version": 2,
+            "vocab": [BOS, EOS] + [f"t{i}" for i in range(200_000)],
+            "order": 1, "alpha": 0.1, "buckets": 2000,
+            "counts": [{"bucket": b, "context": [], "ids": [], "counts": []} for b in range(2000)],
+        }))
+        inputs.write_text("a b\n")
+        limit = 2 << 30
+        code = (f"import resource, sys\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                f"from amrkit.cli import run\nsys.exit(run(['distill', '--teacher', {str(teacher)!r}, "
+                f"'--inputs', {str(inputs)!r}, '--out', {str(tmp_path / 'out.jsonl')!r}]))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amrkit.__file__)))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env=env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines() == [
+            f"amrkit: error: {teacher}: a 2000 x 200002 counts table does not fit in memory"]
+
     @pytest.mark.parametrize(
         "argv, content",
         [
@@ -91,9 +119,9 @@ class TestExitCodes:
             (["stats"], '{"id": "a", "lang": "EN", "split": "test", "src": "x", "tgt": 5}'),
             (["vocab"], "[1]"),
             (["distill", "--inputs", "in.txt", "--out", "out.jsonl", "--teacher"],
-             '{"format": "amrkit-toy-model", "version": 1}'),
+             '{"format": "amrkit-toy-model", "version": 2}'),
             (["distill", "--inputs", "in.txt", "--out", "out.jsonl", "--teacher"],
-             '{"format": "amrkit-toy-model", "version": 1, "vocab": ["<s>", "</s>"], '
+             '{"format": "amrkit-toy-model", "version": 2, "vocab": ["<s>", "</s>"], '
              '"order": 1000000, "alpha": 0.1, "buckets": 1, "counts": []}'),
         ],
     )
@@ -534,9 +562,9 @@ _RECORD = {
 }
 _GRAPH_LINE = {"metadata": {"id": "g1"}, "penman": WANT_BOY.strip()}
 _MODEL = {
-    "format": "amrkit-toy-model", "version": 1,
+    "format": "amrkit-toy-model", "version": 2,
     "vocab": [BOS, EOS, "(", ")", "<V0>", "boy"], "order": 2, "alpha": 0.1, "buckets": 4,
-    "counts": [{"bucket": 1, "context": [0], "counts": [0.0, 1.0, 3.0, 1.0, 2.0, 2.0]}],
+    "counts": [{"bucket": 1, "context": [0], "ids": [1, 2, 3, 4, 5], "counts": [1.0, 3.0, 1.0, 2.0, 2.0]}],
 }
 _PENMAN = (WANT_BOY, '# ::id a\n(c / city :name (n / name :op1 "New York") :mod c)\n', "(b / boy)\n")
 _LINES = ("( <V0> want-01 :ARG0 ( <V1> boy ) )", '( <V0> city :op1 "a b" :mod <V0> )', "the boy")

@@ -120,7 +120,8 @@ class TestToyCondModel:
         path = tmp_path / "model.json"
         m.save(str(path))
         payload = json.loads(path.read_text())
-        payload["counts"][0]["counts"][m.index(BOS)] = 50.0
+        payload["counts"][0]["ids"].insert(0, m.index(BOS))
+        payload["counts"][0]["counts"].insert(0, 50.0)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: counts give '<s>' a nonzero"):
             ToyCondModel.load(str(path))
@@ -145,9 +146,98 @@ class TestToyCondModel:
         path = tmp_path / "model.json"
         ToyCondModel(V4, order=order, buckets=4).save(str(path))
         payload = json.loads(path.read_text())
-        payload["counts"] = [{"bucket": b, "context": c, "counts": [0.0, 1.0, 2.0, 0.0]} for b, c in keys]
+        payload["counts"] = [{"bucket": b, "context": c, "ids": [1, 2], "counts": [1.0, 2.0]}
+                             for b, c in keys]
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            ToyCondModel.load(str(path))
+
+    @staticmethod
+    def _write_rows(path, rows, **fields):
+        """A V4 model file of order 2 and 4 buckets with the given count rows
+        and top-level fields."""
+        ToyCondModel(V4, order=2, buckets=4).save(str(path))
+        payload = json.loads(path.read_text())
+        payload.update(fields, counts=rows)
+        path.write_text(json.dumps(payload))
+
+    def test_save_writes_only_nonzero_counts(self, tmp_path):
+        m = ToyCondModel(V4, order=2, buckets=4)
+        m.observe(["s"], ["b", "a", EOS])
+        m.add_dist_counts(["b"], ["t"], np.zeros(4))
+        path = tmp_path / "model.json"
+        m.save(str(path))
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2
+        rows = payload["counts"]
+        assert [(r["bucket"], tuple(r["context"])) for r in rows] == list(m.counts)
+        # all-zero rows keep their key, in table order
+        assert rows[-1]["ids"] == rows[-1]["counts"] == []
+        for r, row in zip(rows, m.counts.values()):
+            assert r["ids"] == np.flatnonzero(row).tolist()
+            assert r["counts"] == row[r["ids"]].tolist()
+
+    def test_load_reads_ids_per_row(self, tmp_path):
+        # ids restart in each row; int counts are numbers too
+        path = tmp_path / "model.json"
+        self._write_rows(path, [{"bucket": 0, "context": [2], "ids": [3], "counts": [2]},
+                                {"bucket": 0, "context": [3], "ids": [1, 2], "counts": [0.5, 1e299]},
+                                {"bucket": 1, "context": [2], "ids": [], "counts": []}])
+        back = ToyCondModel.load(str(path))
+        assert list(back.counts) == [(0, (2,)), (0, (3,)), (1, (2,))]
+        assert np.array_equal(np.array(list(back.counts.values())),
+                              [[0, 0, 0, 2.0], [0, 0.5, 1e299, 0], [0, 0, 0, 0]])
+
+    @pytest.mark.parametrize("ids, counts, message", [
+        ([1, 2], [1.0], r'counts\[1\] gives 2 "ids" for 1 "counts"'),
+        ([1], [], r'counts\[1\] gives 1 "ids" for 0 "counts"'),
+        ([1.0, 2], [1.0, 2.0], r"counts\[1\] has the id 1.0, not an int in \[0, 4\)"),
+        ([1, True], [1.0, 2.0], r"counts\[1\] has the id True, not an int in \[0, 4\)"),
+        (["1", 2], [1.0, 2.0], r"counts\[1\] has the id '1', not an int in \[0, 4\)"),
+        ([-1, 2], [1.0, 2.0], r"counts\[1\] has the id -1, not an int in \[0, 4\)"),
+        ([1, 4], [1.0, 2.0], r"counts\[1\] has the id 4, not an int in \[0, 4\)"),
+        ([1, 2**70], [1.0, 2.0], rf"counts\[1\] has the id {2**70}, not an int in \[0, 4\)"),
+        ([2, 1], [1.0, 2.0], r'counts\[1\] has "ids" that are not strictly ascending'),
+        ([1, 2, 2], [1.0, 2.0, 3.0], r'counts\[1\] has "ids" that are not strictly ascending'),
+        ("12", [1.0, 2.0], r'malformed counts table \(an "ids" or "counts" that is not a list\)'),
+        ([1, 2], {"a": 1.0, "b": 2.0},
+         r'malformed counts table \(an "ids" or "counts" that is not a list\)'),
+    ], ids=["fewer-counts", "no-counts", "float-id", "bool-id", "string-id", "negative-id",
+            "id-past-vocab", "huge-id", "descending-ids", "repeated-id", "ids-a-string",
+            "counts-a-dict"])
+    def test_load_rejects_bad_ids(self, tmp_path, ids, counts, message):
+        # a table load would fill wrongly, or that save would not write back the same
+        path = tmp_path / "model.json"
+        self._write_rows(path, [{"bucket": 0, "context": [2], "ids": [3], "counts": [1.0]},
+                                {"bucket": 0, "context": [3], "ids": ids, "counts": counts}])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            ToyCondModel.load(str(path))
+
+    @pytest.mark.parametrize("count", [True, False, "2.5", " 3 ", None, [1.0], -1.0, 1e300,
+                                       10**400, float("nan"), float("inf")])
+    def test_load_accepts_only_json_numbers_as_counts(self, tmp_path, count):
+        # numpy would read true, "2.5" and " 3 " as floats, and save write them back changed
+        path = tmp_path / "model.json"
+        self._write_rows(path, [{"bucket": 0, "context": [2], "ids": [1, 2], "counts": [1.0, count]}])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: counts are not numbers "
+                                             r"in \[0, 1e\+300\)$"):
+            ToyCondModel.load(str(path))
+
+    @pytest.mark.parametrize("alpha", [True, "0.1", None, 0.0, -1.0, 1e300, float("nan")])
+    def test_load_accepts_only_json_numbers_as_alpha(self, tmp_path, alpha):
+        path = tmp_path / "model.json"
+        self._write_rows(path, [], alpha=alpha)
+        # 0 passes the file rule and fails the constructor's
+        message = "alpha must be > 0" if alpha == 0 else r'"alpha" is not a number in \[0, 1e\+300\)'
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+            ToyCondModel.load(str(path))
+
+    def test_load_refuses_version_1(self, tmp_path):
+        # the dense rows of the first format: one count per vocabulary entry
+        path = tmp_path / "model.json"
+        self._write_rows(path, [{"bucket": 0, "context": [2], "counts": [0.0, 1.0, 2.0, 0.0]}],
+                         version=1)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unsupported format version 1$"):
             ToyCondModel.load(str(path))
 
     @settings(max_examples=150, deadline=None,

@@ -16,6 +16,7 @@ from amrkit.pipeline import (
     CorpusRecord,
     HashEmbedding,
     MASK,
+    MAX_META_DEPTH,
     NoiseSpec,
     StubTranslator,
     augment_vocab,
@@ -420,6 +421,35 @@ class TestCorpusRecord:
         # a value held twice, not inside itself, is JSON data
         shared = [1]
         CorpusRecord("x", "EN", "train", "hi", tgt=("a",), meta={"a": shared, "b": [shared]})
+
+    @staticmethod
+    def _nested(depth: int) -> dict:
+        """A meta of ``depth`` lists and dicts on its one path: itself, then lists."""
+        inner: list = []
+        for _ in range(depth - 2):
+            inner = [inner]
+        return {"k": inner}
+
+    def test_meta_depth_is_bounded(self, tmp_path):
+        # json.dumps raises RecursionError part-way through a file on a meta
+        # nested about 1,000 deep, and json.loads could not read it back
+        at_bound = CorpusRecord("x", "EN", "train", "hi", tgt=("a",), meta=self._nested(MAX_META_DEPTH))
+        path = str(tmp_path / "deep.jsonl")
+        write_corpus_jsonl(path, [at_bound])
+        assert read_corpus_jsonl(path) == [at_bound]
+        message = f"^record field 'meta' is nested more than {MAX_META_DEPTH} deep$"
+        for depth in (MAX_META_DEPTH + 1, 100_000):
+            with pytest.raises(ValueError, match=message):
+                CorpusRecord("x", "EN", "train", "hi", tgt=("a",), meta=self._nested(depth))
+        with pytest.raises(ValueError, match=message):
+            CorpusRecord("x", "EN", "train", "hi", tgt=("a",),
+                         meta={"a": [1, 2], "b": self._nested(MAX_META_DEPTH)})
+        # the reader names the file and line of a record nested too deep
+        line = {"id": "x", "lang": "EN", "src": "hi", "tgt": "a", "meta": self._nested(MAX_META_DEPTH + 1)}
+        with open(path, "w") as fh:
+            fh.write(json.dumps(line) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}:1: {message[1:]}"):
+            read_corpus_jsonl(path)
 
     def test_types_are_checked_before_values(self):
         # in field order, then meta's contents and meta.src_en, then the values
