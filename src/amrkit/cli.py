@@ -342,7 +342,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (AmrkitError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (AmrkitError, OSError, ValueError) as exc:
         print(f"amrkit: error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

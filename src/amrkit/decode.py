@@ -59,7 +59,6 @@ class BeamHypothesis:
 
     tokens: tuple[str, ...]
     log_prob: float
-    finished: bool = True
 
 
 def strip_sentinels(tokens: Sequence[str]) -> list[str]:

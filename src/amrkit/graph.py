@@ -126,13 +126,14 @@ class AmrGraph:
         return [n for n in self.nodes if not n.constant]
 
     def check(self) -> "AmrGraph":
-        """Validate the structural invariants and the atom rule, returning
-        self.
+        """Validate the metadata, the structural invariants and the atom
+        rule, returning self.
 
         Raises ValueError on the first violation.  ``parse_penman`` and
         ``delinearize`` return graphs that pass it by construction; it is
         for graphs built any other way.
         """
+        _check_metadata(self.metadata)
         self._check_unique_ids()
         if self.root not in self._by_id or self.node(self.root).constant:
             raise ValueError("root must name a variable-bearing node")
@@ -232,16 +233,15 @@ def _split_metadata(text: str) -> tuple[dict[str, str], str]:
     return meta, text[start:]
 
 
-def _metadata_header(meta: dict[str, str]) -> str:
-    """The ``# ::key value`` lines that ``_split_metadata`` reads back as
-    ``meta``.  Raises ValueError naming the first key that is not a string
-    of non-whitespace characters, or whose value is not a string without
-    line breaks, outer whitespace or a ``::`` field marker."""
+def _check_metadata(meta: dict[str, str]) -> None:
+    """Raise ValueError naming the first field that would not read back from
+    its ``# ::key value`` line: a key that is not a string of non-whitespace
+    characters, or a value that is not a string without line breaks, outer
+    whitespace or a ``::`` field marker."""
     for k, v in meta.items():
         if not (isinstance(k, str) and _META_KEY_RE.fullmatch(k) and isinstance(v, str)
                 and "\n" not in v and v == v.strip() and not _META_FIELD_RE.search(v)):
             raise ValueError(f"metadata field {k!r} does not read back as a '# ::' line")
-    return "".join(f"# ::{k} {v}\n" for k, v in meta.items())
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,8 @@ def serialize_penman(g: AmrGraph) -> str:
     mention of that variable, so it is written with ``_`` appended until
     its name is free.  Metadata that would not read back as written, and
     the walk's unreachable nodes and duplicate ids, raise ValueError."""
-    header = _metadata_header(g.metadata)
+    _check_metadata(g.metadata)
+    header = "".join(f"# ::{k} {v}\n" for k, v in g.metadata.items())
     names: dict[str, str] = {}  # variables written under another name
     taken = {n.concept for n in g.nodes if n.constant}
     for n in g.var_nodes():

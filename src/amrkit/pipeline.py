@@ -82,46 +82,33 @@ _FIELD_TYPES = {
 }
 
 
-def _json_children(value: list | dict):
-    """An iterator over a list's items or a dict's values; raises
-    ValueError on a dict key that is not a string."""
+def _check_json_data(value: list | dict, ancestors: tuple[int, ...] = ()) -> None:
+    """Raise ValueError at the first fault, depth first, unless ``value`` (a
+    record's meta) is data that JSON writes and reads back equal: string
+    keys, checked before the values; str, int, finite float, bool, None,
+    list and dict values, at most ``MAX_META_DEPTH`` lists and dicts deep,
+    ``value`` included, checked before each descent; none inside itself.
+    ``ancestors`` are the ids of the lists and dicts that hold ``value``."""
+    ancestors += (id(value),)
     if isinstance(value, dict):
         for key in value:
             if not isinstance(key, str):
                 raise ValueError(f"record field 'meta' has a key of type {type(key).__name__}")
-        return iter(value.values())
-    return iter(value)
-
-
-def _check_json_data(meta: dict) -> None:
-    """Raise ValueError unless ``meta`` is data that JSON writes and reads
-    back equal: string keys; str, int, finite float, bool, None, list and
-    dict values, recursively, at most ``MAX_META_DEPTH`` lists and dicts
-    deep.  One visit per value, with no recursion; a list or dict inside
-    itself is refused."""
-    # the walk's open lists and dicts, outermost first, each with the
-    # iterator over what it holds
-    stack = [(id(meta), _json_children(meta))]
-    open_ids = {id(meta)}
-    while stack:
-        for value in stack[-1][1]:
-            if isinstance(value, (str, int, type(None))):
-                continue
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    raise ValueError(f"record field 'meta' holds the non-finite number {value!r}")
-            elif isinstance(value, (list, dict)):
-                if id(value) in open_ids:
-                    raise ValueError("record field 'meta' holds itself")
-                if len(stack) == MAX_META_DEPTH:
-                    raise ValueError(f"record field 'meta' is nested more than {MAX_META_DEPTH} deep")
-                open_ids.add(id(value))
-                stack.append((id(value), _json_children(value)))
-                break
-            else:
-                raise ValueError(f"record field 'meta' holds a value of type {type(value).__name__}")
+        value = value.values()
+    for item in value:
+        if isinstance(item, (str, int, type(None))):
+            continue
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                raise ValueError(f"record field 'meta' holds the non-finite number {item!r}")
+        elif isinstance(item, (list, dict)):
+            if id(item) in ancestors:
+                raise ValueError("record field 'meta' holds itself")
+            if len(ancestors) == MAX_META_DEPTH:
+                raise ValueError(f"record field 'meta' is nested more than {MAX_META_DEPTH} deep")
+            _check_json_data(item, ancestors)
         else:
-            open_ids.remove(stack.pop()[0])
+            raise ValueError(f"record field 'meta' holds a value of type {type(item).__name__}")
 
 
 @dataclass(frozen=True)

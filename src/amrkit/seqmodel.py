@@ -15,6 +15,7 @@ sentences; ``ToyCondModel.next_dist`` is row 0 of its own
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from abc import ABC, abstractmethod
@@ -30,20 +31,27 @@ EOS = "</s>"
 
 _FORMAT = "amrkit-toy-model"
 _FORMAT_VERSION = 2
-# Bound on a loaded count or alpha: a table row of any realistic vocabulary
+# Bound on alpha and on a loaded count: a table row of any realistic vocabulary
 # over such numbers sums to a finite float, so next_dist never divides by inf.
 _MAX_COUNT = 1e300
 # Bound on ToyCondModel.order: the context key holds order - 1 token ids, so
 # a model file's order alone would otherwise set the cost of every query.
 MAX_ORDER = 1024
-# Sources whose hash ToyCondModel keeps: more than the sentences of one
-# decode chunk (distill's DECODE_CHUNK), so a lock-step decode never misses.
+# Sources whose hash is kept: more than the sentences of one decode chunk
+# (distill's DECODE_CHUNK), so a lock-step decode never misses.
 _SOURCE_CACHE = 256
 
 
 def stable_hash(text: str) -> int:
     """Process-independent 32-bit hash (unlike builtin ``hash``)."""
     return zlib.crc32(text.encode("utf-8"))
+
+
+@functools.lru_cache(maxsize=_SOURCE_CACHE)
+def _source_hash(tokens: tuple[str, ...]) -> int:
+    """The hash of a source's bag of tokens, kept for the last
+    ``_SOURCE_CACHE`` distinct sources of every model and thread."""
+    return stable_hash(" ".join(sorted(tokens)))
 
 
 def _token_error(exc: KeyError, what: str) -> ValueError:
@@ -62,10 +70,15 @@ def check_ends_with_eos(target: Sequence[str]) -> None:
 
 
 class SeqModel(ABC):
-    """Conditional next-token distribution p(token | prefix, source)."""
+    """Conditional next-token distribution p(token | prefix, source).  The
+    constructor refuses a vocabulary that is not distinct strings with BOS
+    and EOS among them."""
 
     def __init__(self, vocab: Iterable[str]):
         vocab = tuple(vocab)
+        for tok in vocab:
+            if not isinstance(tok, str):
+                raise ValueError(f"vocabulary token {tok!r} is not a string")
         if BOS not in vocab or EOS not in vocab:
             raise ValueError(f"vocabulary must contain {BOS!r} and {EOS!r}")
         if len(set(vocab)) != len(vocab):
@@ -104,11 +117,14 @@ class ToyCondModel(SeqModel):
     vocabulary among them raises ValueError.  ``alpha`` smoothing mass is
     spread over every vocabulary entry except BOS.  Training only ever adds
     to counts, so repeated observation of one pair converges to that pair's
-    empirical distribution with an alpha-dependent floor.  The model keeps the hashes
-    of the last few hundred distinct sources it was asked about, so a decode
-    of a chunk of sentences, whose steps switch sources row by row, hashes
-    each source once.  ``alpha`` is read-only: the smoothing row is built
-    from it once, and ``save`` writes it.
+    empirical distribution with an alpha-dependent floor.  The hashes of
+    the last few hundred distinct sources are kept in one cache that every
+    model and thread shares, so a decode of a chunk of sentences, whose
+    steps switch sources row by row, hashes each source once.  The
+    constructor refuses an ``alpha`` that is not an int or float (never a
+    bool) in ``(0, 1e300)``, so every model it builds reads back through
+    ``save`` and ``load``.  ``alpha`` is read-only: the smoothing row is
+    built from it once, and ``save`` writes it.
     """
 
     def __init__(
@@ -121,8 +137,9 @@ class ToyCondModel(SeqModel):
         super().__init__(vocab)
         if type(order) is not int or not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be an integer in [1, {MAX_ORDER}]")
-        if alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+                and 0 < alpha < _MAX_COUNT):
+            raise ValueError(f"alpha must be an int or float in (0, {_MAX_COUNT:g})")
         if type(buckets) is not int or buckets < 1:
             raise ValueError("buckets must be an integer >= 1")
         self.order = order
@@ -130,15 +147,12 @@ class ToyCondModel(SeqModel):
         self.buckets = buckets
         self.counts: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         v = len(self.vocab)
-        self._smooth = np.full(v, alpha)
+        self._smooth = np.full(v, float(alpha))
         self._smooth[self.index(BOS)] = 0.0
         self._zero = np.zeros(v)
         self._bos = self.index(BOS)
         # the ids of every token but BOS, which no prefix or target holds
         self._ids = {tok: i for tok, i in self._index.items() if i != self._bos}
-        # tuple(src) -> its hash, oldest first; bounded so a long run over
-        # many sentences keeps only the recent ones
-        self._src_hash: dict[tuple[str, ...], int] = {}
 
     @property
     def alpha(self) -> float:
@@ -147,14 +161,7 @@ class ToyCondModel(SeqModel):
     # -- conditioning ------------------------------------------------------
 
     def bucket(self, src: Sequence[str]) -> int:
-        tokens = tuple(src)
-        cache = self._src_hash
-        h = cache.get(tokens)
-        if h is None:
-            if len(cache) >= _SOURCE_CACHE:
-                del cache[next(iter(cache))]
-            h = cache[tokens] = stable_hash(" ".join(sorted(tokens)))
-        return h % self.buckets
+        return _source_hash(tuple(src)) % self.buckets
 
     def context(self, prefix: Sequence[str]) -> tuple[int, ...]:
         n = self.order - 1
@@ -240,9 +247,11 @@ class ToyCondModel(SeqModel):
     def load(cls, path: str) -> "ToyCondModel":
         """Read a model written by ``save`` (format version 2 only).  Raises
         ValueError naming the file on anything else, before a malformed
-        table can reach decoding: ``alpha`` or a count that is not a JSON
-        number (int or float, never bool) in range; a row whose ``ids`` are
-        not ints in ``[0, |vocab|)``, strictly ascending, one per count; a
+        table can reach decoding.  The model's parameters get the
+        constructor's rules and messages; this checks only the file's
+        structure and its rows: a count that is not a JSON number (int or
+        float, never bool) in ``[0, 1e300)``; a row whose ``ids`` are not
+        ints in ``[0, |vocab|)``, strictly ascending, one per count; a
         nonzero BOS entry; a count row whose key no query can reach (a bucket
         or token id that is not an int in range, a context of another length
         than ``order - 1``, BOS after a real token), or a key given twice."""
@@ -261,14 +270,10 @@ class ToyCondModel(SeqModel):
         need(payload.get("version") == _FORMAT_VERSION,
              f"unsupported format version {payload.get('version')}")
         vocab, counts = payload.get("vocab"), payload.get("counts")
-        need(isinstance(vocab, list) and all(isinstance(t, str) for t in vocab),
-             '"vocab" is not a list of strings')
-        alpha = payload.get("alpha")
-        need(type(alpha) in (int, float) and 0 <= alpha < _MAX_COUNT,
-             f'"alpha" is not a number in [0, {_MAX_COUNT:g})')
+        need(isinstance(vocab, list), '"vocab" is not a list')
         need(isinstance(counts, list), '"counts" is not a list')
         try:
-            model = cls(vocab, payload.get("order"), alpha, payload.get("buckets"))
+            model = cls(vocab, payload.get("order"), payload.get("alpha"), payload.get("buckets"))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
         try:
@@ -314,9 +319,9 @@ class ToyCondModel(SeqModel):
             # a few bytes of file per row and per token can declare any table
             fail(f"a {len(keys)} x {v} counts table does not fit in memory")
         table[row_of, col] = cells
-        model.counts.update(zip(keys, table))
         # each a key that ``key`` can return: an int bucket below ``buckets``,
-        # then order - 1 int token ids, where BOS is only leading padding
+        # then order - 1 int token ids, where BOS is only leading padding;
+        # checked before the keys are hashed, since a list in one is not hashable
         buckets, token_ids, bos = range(model.buckets), set(range(v)), model._bos
         int_context = (int,) * (model.order - 1)
         for k, (bucket, context) in enumerate(keys):
@@ -325,5 +330,6 @@ class ToyCondModel(SeqModel):
                     and (bos not in context or bos not in context[context.count(bos):])):
                 raise ValueError(f"{path}: counts[{k}] is a row no query reaches "
                                  f"(bucket {bucket!r}, context {list(context)!r})")
+        model.counts.update(zip(keys, table))
         need(len(model.counts) == len(keys), "counts give one key twice")
         return model

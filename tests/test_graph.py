@@ -345,6 +345,17 @@ class TestCheck:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             AmrGraph(tuple(nodes), tuple(edges), root).check()
 
+    @pytest.mark.parametrize("metadata", [
+        {"a b": "x"}, {"id": "x\ny"}, {"id": " x"}, {"id": "x ::y z"}, {1: "x"}, {"id": 3},
+    ], ids=repr)
+    def test_rejects_metadata_serialize_refuses(self, metadata):
+        # check refuses the metadata serialize_penman refuses, with its message
+        g = AmrGraph((Node("a", "b"),), (), "a", metadata)
+        message = f"metadata field {next(iter(metadata))!r} does not read back as a '# ::' line"
+        for step in (serialize_penman, AmrGraph.check):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                step(g)
+
 
 class TestWalk:
     @given(st.one_of(graphs(), literal_graphs()))

@@ -2,6 +2,8 @@ import json
 import logging
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +34,16 @@ from amrkit.errors import TooLarge
 from amrkit.linearize import validate_linear
 from amrkit.pipeline import MASK, AdapterError, CorpusRecord, NoiseSpec
 from amrkit.repair import repair
-from amrkit.seqmodel import _SOURCE_CACHE, BOS, EOS, MAX_ORDER, SeqModel, ToyCondModel
+from amrkit.seqmodel import (
+    _SOURCE_CACHE,
+    BOS,
+    EOS,
+    MAX_ORDER,
+    SeqModel,
+    ToyCondModel,
+    _source_hash,
+    stable_hash,
+)
 
 from .helpers import (
     TOY_VOCAB,
@@ -45,6 +56,7 @@ from .helpers import (
 )
 
 V4 = (BOS, EOS, "a", "b")
+ALPHA_RULE = r"alpha must be an int or float in \(0, 1e\+300\)"
 LINEAR_VOCAB = (BOS, EOS, "(", ")", "<V0>", "<V1>", ":ARG0", "want-01", "boy")
 
 
@@ -138,9 +150,12 @@ class TestToyCondModel:
         (2, [(0, [2.0])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[2.0\]\)"),
         (2, [(0, [True])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[True\]\)"),
         (2, [(0, [2]), (1, [2]), (0, [2])], "counts give one key twice"),  # 3 rows would load as 2
+        # a list is not hashable, so these must be refused before the table is keyed
+        (2, [([0], [2])], r"counts\[0\] is a row no query reaches \(bucket \[0\], context \[2\]\)"),
+        (2, [(0, [[2]])], r"counts\[0\] is a row no query reaches \(bucket 0, context \[\[2\]\]\)"),
     ], ids=["bucket-past-buckets", "context-too-short", "context-a-string", "token-id-past-vocab",
             "bos-after-a-token", "float-bucket", "bool-bucket", "float-token-id", "bool-token-id",
-            "key-given-twice"])
+            "key-given-twice", "list-bucket", "list-token-id"])
     def test_load_rejects_rows_no_query_reaches(self, tmp_path, order, keys, message):
         # save would write such a table back, and no next_dist would read it
         path = tmp_path / "model.json"
@@ -227,10 +242,51 @@ class TestToyCondModel:
     def test_load_accepts_only_json_numbers_as_alpha(self, tmp_path, alpha):
         path = tmp_path / "model.json"
         self._write_rows(path, [], alpha=alpha)
-        # 0 passes the file rule and fails the constructor's
-        message = "alpha must be > 0" if alpha == 0 else r'"alpha" is not a number in \[0, 1e\+300\)'
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}$"):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {ALPHA_RULE}$"):
             ToyCondModel.load(str(path))
+
+    @pytest.mark.parametrize("vocab, alpha, message", [
+        ((BOS, EOS, 7), 0.1, "vocabulary token 7 is not a string"),
+        (V4, True, ALPHA_RULE),
+        (V4, math.inf, ALPHA_RULE),
+        (V4, math.nan, ALPHA_RULE),
+        (V4, 1e301, ALPHA_RULE),
+        (V4, np.int64(1), ALPHA_RULE),  # json cannot write it
+    ], ids=["int-token", "bool-alpha", "inf-alpha", "nan-alpha", "huge-alpha", "int64-alpha"])
+    def test_constructor_refuses_what_load_would(self, vocab, alpha, message):
+        # save would write each of these, and load refuse the file
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ToyCondModel(vocab, alpha=alpha)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_constructed_model_saves_and_loads_back(self, tmp_path, data):
+        tokens = data.draw(st.lists(st.text().filter(lambda t: t not in (BOS, EOS)),
+                                    unique=True, max_size=4))
+        vocab = tuple(data.draw(st.permutations([BOS, EOS, *tokens])))
+        alpha = data.draw(st.one_of(
+            st.integers(1, 10**299),
+            st.floats(0, 1e300, exclude_min=True, exclude_max=True),
+            st.floats(0, 1e300, exclude_min=True, exclude_max=True).map(np.float64)))
+        m = ToyCondModel(vocab, order=data.draw(st.integers(1, MAX_ORDER)), alpha=alpha,
+                         buckets=data.draw(st.integers(1, 2**70)))
+        sources = st.lists(st.text(max_size=3), max_size=3)
+        content = st.lists(st.sampled_from([t for t in vocab if t != BOS]), max_size=3)
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                m.observe(data.draw(sources), data.draw(content) + [EOS])
+            else:
+                weights = np.array(data.draw(st.lists(st.floats(0, 1), min_size=len(vocab),
+                                                      max_size=len(vocab))))
+                dist = weights / weights.sum() if weights.sum() else weights
+                m.add_dist_counts(data.draw(content), data.draw(sources), dist)
+        path = str(tmp_path / "model.json")
+        m.save(path)
+        back = ToyCondModel.load(path)
+        assert (back.vocab, back.order, back.alpha, back.buckets) == (m.vocab, m.order, m.alpha, m.buckets)
+        assert list(back.counts) == list(m.counts)
+        assert all(back.counts[key].tobytes() == row.tobytes() for key, row in m.counts.items())
 
     def test_load_refuses_version_1(self, tmp_path):
         # the dense rows of the first format: one count per vocabulary entry
@@ -418,7 +474,6 @@ class TestBeamSearch:
             assert len(hyps) == 1
             assert hyps[0].tokens == expected
             assert hyps[0].log_prob == pytest.approx(0.0, abs=1e-12)
-            assert hyps[0].finished
 
     def test_beam_one_is_greedy(self):
         for seed in range(100):
@@ -487,7 +542,7 @@ def _beam_cases(draw):
 
 
 def _bits(hyps):
-    return [(h.tokens, h.log_prob.hex(), h.finished) for h in hyps]
+    return [(h.tokens, h.log_prob.hex()) for h in hyps]
 
 
 @st.composite
@@ -770,10 +825,42 @@ class TestSourceHashedOnce:
         before = [m.next_dist([], src).tobytes() for src in self.SOURCES]
         for k in range(_SOURCE_CACHE + 10):
             m.bucket([f"w{k}"])
-        assert len(m._src_hash) == _SOURCE_CACHE and tuple(self.SOURCES[0]) not in m._src_hash
+        info = _source_hash.cache_info()
+        assert info.currsize == _SOURCE_CACHE
         for src, dist in zip(self.SOURCES, before):
             assert m.next_dist([], src).tobytes() == dist
             self._assert_as_fresh(m, src)
+        # each of the first sources missed the cache once, when it came back
+        assert _source_hash.cache_info().misses == info.misses + len(self.SOURCES)
+
+    def test_threads_share_the_cache(self):
+        # sources hashed by several threads at once, each thread through more
+        # sources than the cache keeps, 50 times over, so the threads evict
+        # one another's sources all the time
+        m = self._model()
+        sources = [[[f"t{t}", f"w{k}"] for k in range(_SOURCE_CACHE + 44)] for t in range(4)]
+        expected = [[stable_hash(" ".join(sorted(src))) % m.buckets for src in mine] * 50
+                    for mine in sources]
+        got, errors = [None] * 4, []
+
+        def work(t):
+            try:
+                got[t] = [m.bucket(src) for src in sources[t] * 50]
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors and got == expected
 
 
 class TestExactMode:

@@ -451,6 +451,44 @@ class TestCorpusRecord:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}:1: {message[1:]}"):
             read_corpus_jsonl(path)
 
+    @staticmethod
+    def _holding_itself_at_the_bound() -> dict:
+        """A meta whose innermost list, ``MAX_META_DEPTH`` deep, holds meta."""
+        meta = TestCorpusRecord._nested(MAX_META_DEPTH)
+        inner = meta["k"]
+        while inner:
+            inner = inner[0]
+        inner.append(meta)
+        return meta
+
+    @staticmethod
+    def _holding_itself_then_nan() -> dict:
+        meta = {"a": [], "b": math.nan}
+        meta["a"].append(meta)
+        return meta
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: {"a": [math.nan], "b": (1,)}, "holds the non-finite number nan"),
+        (lambda: {"a": (1,), 1: "x"}, "has a key of type int"),
+        (lambda: {"a": {"x": math.inf, 2: "y"}, "b": {3}}, "has a key of type int"),
+        (lambda: {"a": [math.inf, {1: 2}]}, "holds the non-finite number inf"),
+        (lambda: {"a": [[[{1: 0}]]], "b": {2: 0}}, "has a key of type int"),
+        (lambda: {"a": [1, [2, [b"x"]]], "b": math.nan}, "holds a value of type bytes"),
+        (lambda: {"a": TestCorpusRecord._nested(MAX_META_DEPTH + 1), "b": math.nan},
+         f"is nested more than {MAX_META_DEPTH} deep"),
+        (lambda: {"a": math.nan, "b": TestCorpusRecord._nested(MAX_META_DEPTH + 1)},
+         "holds the non-finite number nan"),
+        (_holding_itself_then_nan, "holds itself"),
+        # the containers on the path are checked before the depth bound
+        (_holding_itself_at_the_bound, "holds itself"),
+    ], ids=["nan-before-tuple", "key-before-value", "inner-key-before-inner-value",
+            "value-before-later-key", "deep-key-first", "deep-type-first", "depth-first",
+            "nan-before-depth", "itself-before-nan", "itself-before-depth"])
+    def test_meta_names_its_first_fault_depth_first(self, build, message):
+        # a dict's keys, then each value whole before the next
+        with pytest.raises(ValueError, match=f"^record field 'meta' {re.escape(message)}$"):
+            CorpusRecord("x", "EN", "train", "hi", tgt=("a",), meta=build())
+
     def test_types_are_checked_before_values(self):
         # in field order, then meta's contents and meta.src_en, then the values
         with pytest.raises(ValueError, match="'id' has type int"):
