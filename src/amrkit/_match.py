@@ -2,24 +2,24 @@
 
 The matching problem is encoded as integer arrays once per graph pair:
 
-- ``unary[i, j]``: triples matched by mapping pred variable i to gold
-  variable j alone (instance concept equality plus multiset-min over
-  attribute (label, value) pairs, TOP included);
+- ``unary[i, j]``: the triples that depend on one variable (concepts,
+  attributes with TOP, self-loops) matched by mapping pred variable i to
+  gold variable j;
 - pred relation buckets ``rsrc/rtgt/rlab/rcnt``: distinct
-  (src, tgt, label) relation patterns with their multiplicities;
-- ``grel[j, l, lab]``: gold multiplicity of relation pattern (j, label, l).
+  (src, tgt, label) edge patterns with their multiplicities, each joining
+  two distinct variables (``rsrc != rtgt``);
+- ``grel[j, l, lab]``: gold multiplicity of edge pattern (j, label, l).
 
 A mapping's score is the exact multiset overlap of the two triple sets.
 ``score_mapping`` scores one mapping or every row of an array of mappings
 and ``hill_climb`` is the vectorized NumPy local search.  The climber reads
 every gain from one table built per call, ``gain[k, a, c]``: what a bucket
-of key k, a distinct (label, count) among the pred buckets that are not
-self-loops, matches with its ends at gold columns a and c.  The table has
-an extra row and column, n2, for "unmapped", which holds 0, so no step
-masks unmapped ends.  ``exact_mapping`` finds the optimum of any size as a
-small integer linear program (scipy's ``milp``, imported on first use) and
-rescores its answer with ``score_mapping``, so the climber can never report
-more than it.
+of key k, a distinct (label, count) among the pred buckets, matches with
+its ends at gold columns a and c.  The table has an extra row and column,
+n2, for "unmapped", which holds 0, so no step masks unmapped ends.
+``exact_mapping`` finds the optimum of any size as a small integer linear
+program (scipy's ``milp``, imported on first use) and rescores its answer
+with ``score_mapping``, so the climber can never report more than it.
 """
 
 from __future__ import annotations
@@ -56,27 +56,22 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
 
     Both tables are lookups into ``gain`` (see the module docstring), built
     once per call: ``remap`` sums one gathered row of it per bucket end,
-    and each bucket's correction to ``swap`` is four entries of it.
+    and each bucket's correction to ``swap`` is four entries of it.  Every
+    bucket must join two distinct variables.
     """
     n1, n2 = unary.shape
     if n1 == 0 or n2 == 0:
         return 0
 
-    # A self-loop bucket depends on one variable only, so it scores like a
-    # unary term.  Column n2 of static stands for "unmapped" and holds 0.
-    loop = rsrc == rtgt
+    # Column n2 of static stands for "unmapped" and holds 0.
     static = np.zeros((n1, n2 + 1), np.int64)
     static[:, :n2] = unary
-    diag = np.arange(n2)
-    loop_gain = np.minimum(grel[diag, diag][:, rlab[loop]].T, rcnt[loop][:, None])
-    np.add.at(static[:, :n2], rsrc[loop], loop_gain)
-    src, tgt = rsrc[~loop], rtgt[~loop]
 
-    # gain[key[b], a, c] is what bucket b matches with src[b] at column a and
-    # tgt[b] at column c; slice nk + k is the transpose of slice k.  Its
+    # gain[key[b], a, c] is what bucket b matches with rsrc[b] at column a
+    # and rtgt[b] at column c; slice nk + k is the transpose of slice k.  Its
     # entries are triple counts, so int32 holds them, at half the memory.
     keys: dict[tuple[int, int], int] = {}
-    lab_cnt = zip(rlab[~loop].tolist(), rcnt[~loop].tolist())
+    lab_cnt = zip(rlab.tolist(), rcnt.tolist())
     key = np.array([keys.setdefault(k, len(keys)) for k in lab_cnt], np.int64)
     nk = len(keys)
     labs, cnts = np.array(list(keys), np.int64).reshape(nk, 2).T
@@ -86,9 +81,9 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
 
     # One gathered row per bucket end, grouped by variable: what the bucket
     # matches with that end at each column, the other end's column fixed.
-    ends = np.concatenate([src, tgt])
+    ends = np.concatenate([rsrc, rtgt])
     order = np.argsort(ends)
-    ends, other = ends[order], np.concatenate([tgt, src])[order]
+    ends, other = ends[order], np.concatenate([rtgt, rsrc])[order]
     end_key = np.concatenate([key + nk, key])[order]
     first = np.flatnonzero(np.diff(ends, prepend=-1))
     hit = ends[first]
@@ -98,10 +93,10 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
     col = np.where(mapping >= 0, mapping, n2)
     used = np.zeros(n2 + 1, bool)
     used[col] = True
-    cur = int(static[rows, col].sum() + gain[key, col[src], col[tgt]].sum())
+    cur = int(static[rows, col].sum() + gain[key, col[rsrc], col[rtgt]].sum())
 
     while True:
-        cs, ct = col[src], col[tgt]
+        cs, ct = col[rsrc], col[rtgt]
 
         # held[i, j]: triples matched through i when i alone maps to j, the
         # other variables fixed; remap is its change from i's current column.
@@ -118,7 +113,7 @@ def hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel):
         swap = remap[:, col]
         moved, old = gain[key, ct, cs], gain[key, cs, ct]
         seen_s, seen_t = gain[key, ct, ct], gain[key, cs, cs]
-        np.add.at(swap, (src, tgt), moved + old - seen_s - seen_t)
+        np.add.at(swap, (rsrc, rtgt), moved + old - seen_s - seen_t)
         swap = swap + swap.T
 
         best_gain, best_i, best_j, best_k = 0, -1, -1, -1
@@ -150,14 +145,13 @@ def exact_mapping(unary, rsrc, rtgt, rlab, rcnt, grel):
 
     Binary ``x[i, j]`` maps pred variable i to gold variable j, each row and
     column summing to at most one.  Each pred bucket b and gold pair (j, l)
-    that can hold it (gold count above zero, a self-loop exactly when b is
-    one) gets a continuous ``y <= x[rsrc[b], j], x[rtgt[b], l]`` weighted by
-    the smaller count; the objective is ``unary . x + w . y``.  The LP
-    relaxation goes first: a rounded mapping that scores its bound is optimal.
-    HiGHS runs without presolve: with it, the solver has declared a mapping
-    of 17 optimal where one of 19 exists (a kernel with repeated buckets,
-    pinned in the tests).  Needs scipy; raises RuntimeError unless the
-    solver proves optimality.
+    with a gold count above zero gets a continuous
+    ``y <= x[rsrc[b], j], x[rtgt[b], l]`` weighted by the smaller count; the
+    objective is ``unary . x + w . y``.  The LP relaxation goes first: a
+    rounded mapping that scores its bound is optimal.  HiGHS runs without
+    presolve: with it, the solver has declared a mapping of 17 optimal where
+    one of 19 exists (a kernel with repeated buckets, pinned in the tests).
+    Needs scipy; raises RuntimeError unless the solver proves optimality.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import coo_matrix
@@ -166,8 +160,6 @@ def exact_mapping(unary, rsrc, rtgt, rlab, rcnt, grel):
     if n1 == 0 or n2 == 0:
         return np.full(n1, -1, np.int64), 0
     b, j, l = np.nonzero(np.moveaxis(grel[:, :, rlab], 2, 0))
-    keep = (rsrc[b] == rtgt[b]) == (j == l)
-    b, j, l = b[keep], j[keep], l[keep]
     nx, ny = n1 * n2, b.size
     x, y = np.arange(nx), nx + np.arange(ny)
     y_rows = n1 + n2 + np.arange(2 * ny)

@@ -85,18 +85,41 @@ def _norm_const(value: str) -> str:
     return value
 
 
-def _buckets(rel: dict[tuple[int, int, int], int]) -> tuple[np.ndarray, ...]:
-    """Relation counts keyed (src, tgt, label) as four arrays: src, tgt,
-    label and count."""
-    keys = np.fromiter(chain.from_iterable(rel), np.int64, 3 * len(rel)).reshape(-1, 3)
-    return (*keys.T.copy(), np.fromiter(rel.values(), np.int64, len(rel)))
-
-
 def _pair_upper(unary: np.ndarray, p_deg: np.ndarray, g_deg: np.ndarray) -> int:
     """The pair bound of ``_Problem``, from ``unary`` and each side's
-    ``deg[3 * label + block, variable]``; 0 when a side has no variables."""
+    ``deg[2 * label + block, variable]``; 0 when a side has no variables."""
     w2 = 2 * unary + np.minimum(p_deg[:, :, None], g_deg[:, None]).sum(0)
     return int(min(w2.max(1, initial=0).sum(), w2.max(0, initial=0).sum())) // 2
+
+
+def _encode(triples, names, keys, labels):
+    """One side's (variable, key) cells as a (2, m) array, its edge buckets
+    (source, target, label, count), and the cell ``(2 * label + block) * n
+    + variable`` of each edge end, block 0 for sources and 1 for targets.
+    New keys and labels join ``keys`` and ``labels``.  A concept key is a
+    str, an attribute key a (label, constant), a self-loop key a (label,)."""
+    idx = {v: i for i, v in enumerate(names)}
+    n = len(names)
+    cells: list[int] = []
+    edges: dict[tuple[int, int, int], int] = {}
+    ends: list[int] = []
+    for t in triples:
+        if t.kind == "instance":
+            key = t.tgt
+        elif t.kind == "attribute":
+            key = t.label.casefold(), _norm_const(t.tgt)
+        elif t.src == t.tgt:
+            key = (t.label.casefold(),)
+        else:
+            i, k = idx[t.src], idx[t.tgt]
+            lab = labels.setdefault(t.label.casefold(), len(labels))
+            edges[i, k, lab] = edges.get((i, k, lab), 0) + 1
+            ends += 2 * lab * n + i, (2 * lab + 1) * n + k
+            continue
+        cells += idx[t.src], keys.setdefault(key, len(keys))
+    buckets = np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges)).reshape(-1, 3)
+    return (np.array(cells, np.int64).reshape(-1, 2).T,
+            (*buckets.T.copy(), np.fromiter(edges.values(), np.int64, len(edges))), ends)
 
 
 class _Problem:
@@ -104,19 +127,21 @@ class _Problem:
     ``upper``, a bound on ``matched`` under any injective mapping: the
     smaller of two bounds, both computed with numpy alone.
 
+    A triple is a key at one variable (a concept, an attribute with TOP,
+    or a self-loop's label) or an edge between two distinct variables.
+    ``unary[i, j]`` sums over keys the smaller of the two variables'
+    counts; only edges make the buckets and ``grel``.
+
     The class bound: each matched pred triple pairs with a distinct gold
-    triple of its class, so it sums, per concept, per attribute key (label
-    and constant, TOP included) and per relation label split into
-    self-loops and other edges, the smaller of the two sides' counts.  A
-    self-loop can match only a self-loop, as the mapping is injective.
+    triple of its class, so it sums, per key and per edge label, the
+    smaller of the two sides' counts.
 
     The pair bound: sending pred variable i to gold variable j matches at
     most ``w[i, j]`` triples there, where ``2 * w`` is twice ``unary`` plus,
-    per relation label, twice the smaller self-loop count, the smaller
-    out-degree and the smaller in-degree over other edges.  Each matched
-    edge counts half at its source pair and half at its target pair, and
-    ``w >= 0``, so an injective mapping scores at most the sum of the row
-    maxima of ``w``, and at most the sum of its column maxima.
+    per edge label, the smaller out-degree and the smaller in-degree.  Each
+    matched edge counts half at its source pair and half at its target
+    pair, and ``w >= 0``, so an injective mapping scores at most the sum of
+    the row maxima of ``w``, and at most the sum of its column maxima.
     """
 
     def __init__(self, pred: AmrGraph, gold: AmrGraph):
@@ -125,70 +150,41 @@ class _Problem:
         self.n_gold_triples = len(gt)
         self.pred_vars = [t.src for t in pt if t.kind == "instance"]
         self.gold_vars = [t.src for t in gt if t.kind == "instance"]
-        pidx = {v: i for i, v in enumerate(self.pred_vars)}
-        gidx = {v: j for j, v in enumerate(self.gold_vars)}
         n1, n2 = len(self.pred_vars), len(self.gold_vars)
-
-        concepts: dict[str, int] = {}
-        self.pred_concepts = np.zeros(n1, np.int64)
-        self.gold_concepts = np.zeros(n2, np.int64)
-        # attribute key -> the variable index of each triple holding it
-        p_attr: dict[tuple[str, str], list[int]] = {}
-        g_attr: dict[tuple[str, str], list[int]] = {}
+        keys: dict[str | tuple[str, ...], int] = {}
         labels: dict[str, int] = {}
-        p_rel: dict[tuple[int, int, int], int] = {}
-        g_rel: dict[tuple[int, int, int], int] = {}
-        # the cell (label, block, variable) of each end of each relation
-        # triple, as one index: block 0 holds sources and block 1 targets of
-        # edges that are not self-loops, block 2 both ends of a self-loop
-        p_ends: list[int] = []
-        g_ends: list[int] = []
+        p_cells, p_buckets, p_ends = _encode(pt, self.pred_vars, keys, labels)
+        g_cells, g_buckets, g_ends = _encode(gt, self.gold_vars, keys, labels)
+        # to_triples lists the instance triples first, in variable order
+        self.pred_concepts, self.gold_concepts = p_cells[1, :n1], g_cells[1, :n2]
 
-        for triples, idx, conc, attr, rel, ends in (
-            (pt, pidx, self.pred_concepts, p_attr, p_rel, p_ends),
-            (gt, gidx, self.gold_concepts, g_attr, g_rel, g_ends),
-        ):
-            n = len(idx)
-            for t in triples:
-                if t.kind == "instance":
-                    conc[idx[t.src]] = concepts.setdefault(t.tgt, len(concepts))
-                elif t.kind == "attribute":
-                    attr.setdefault((t.label.casefold(), _norm_const(t.tgt)), []).append(idx[t.src])
-                else:
-                    lab = labels.setdefault(t.label.casefold(), len(labels))
-                    i, k = idx[t.src], idx[t.tgt]
-                    rel[i, k, lab] = rel.get((i, k, lab), 0) + 1
-                    if i == k:
-                        ends += ((3 * lab + 2) * n + i,) * 2
-                    else:
-                        ends += ((3 * lab) * n + i, (3 * lab + 1) * n + k)
-
-        self.unary = (self.pred_concepts[:, None] == self.gold_concepts).astype(np.int64)
-        shared = p_attr.keys() & g_attr.keys()
-        for key in shared:
-            pc = np.bincount(p_attr[key], minlength=n1)
-            gc = np.bincount(g_attr[key], minlength=n2)
-            self.unary += np.minimum(pc[:, None], gc)
+        # cnt[variable, key]; min(a, b) counts the thresholds t >= 1 that a
+        # and b both reach, so unary sums, per t, products of cnt >= t
+        n_key = len(keys)
+        p_cnt, g_cnt = (
+            np.bincount(cells[0] * n_key + cells[1], minlength=n * n_key).reshape(n, n_key)
+            for cells, n in ((p_cells, n1), (g_cells, n2))
+        )
+        unary = np.zeros((n1, n2))
+        for t in range(1, min(p_cnt.max(initial=0), g_cnt.max(initial=0)) + 1):
+            unary += (p_cnt >= t).astype(float) @ (g_cnt >= t).T
+        self.unary = unary.astype(np.int64)
 
         n_lab = max(len(labels), 1)
-        p_buckets, g_buckets = _buckets(p_rel), _buckets(g_rel)
         self.rsrc, self.rtgt, self.rlab, self.rcnt = p_buckets
         self.grel = np.zeros((n2, n2, n_lab), np.int64)
         self.grel[g_buckets[:3]] = g_buckets[3]
-        # deg[3 * label + block, variable]: the triple ends in each cell
+        # deg[2 * label + block, variable]: the edge ends in each cell
         p_deg, g_deg = (
-            np.bincount(np.array(ends, np.int64), minlength=3 * n_lab * n).reshape(3 * n_lab, n)
+            np.bincount(np.array(ends, np.int64), minlength=2 * n_lab * n).reshape(2 * n_lab, n)
             for ends, n in ((p_ends, n1), (g_ends, n2))
         )
 
-        # Summed over variables, a label's in-degrees equal its out-degrees
-        # and its self-loops count twice, so half the sum of the row-wise
-        # minima is the relation part of the class bound.
-        n_conc = len(concepts)
+        # Summed over variables, a label's in-degrees equal its out-degrees,
+        # so half the sum of the row-wise minima is the edge part of the
+        # class bound.
         class_upper = (
-            int(np.minimum(np.bincount(self.pred_concepts, minlength=n_conc),
-                           np.bincount(self.gold_concepts, minlength=n_conc)).sum())
-            + sum(min(len(p_attr[key]), len(g_attr[key])) for key in shared)
+            int(np.minimum(p_cnt.sum(0), g_cnt.sum(0)).sum())
             + int(np.minimum(p_deg.sum(1), g_deg.sum(1)).sum()) // 2
         )
         self.upper = min(class_upper, _pair_upper(self.unary, p_deg, g_deg))
@@ -318,16 +314,23 @@ def corpus_smatch(
     """Micro-averaged Smatch over a corpus (file paths or graph lists).
 
     Records are scored one after another, record ``i`` by a hill climb
-    seeded with ``seed + i``.  ``jobs`` must be 1; it remains for callers
-    written when records could be scored on several threads.
+    seeded with ``seed + i`` in [0, 2**32), checked with ``restarts``
+    before any record is scored.  ``jobs`` must be 1; it remains for
+    callers written when records could be scored on several threads.
     """
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs!r}")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     preds = read_amr_file(pred) if isinstance(pred, str) else list(pred)
     golds = read_amr_file(gold) if isinstance(gold, str) else list(gold)
+    pairs = align_records(preds, golds)
+    if not 0 <= seed <= 2**32 - max(len(pairs), 1):
+        raise ValueError(f"seed {seed} out of range for {len(pairs)} records: record i is "
+                         "seeded with seed + i, which must lie in [0, 2**32)")
     results = [
         smatch_hill_climb(p, g, restarts=restarts, seed=seed + i)
-        for i, (p, g) in enumerate(align_records(preds, golds))
+        for i, (p, g) in enumerate(pairs)
     ]
     matched = sum(r.matched for r in results)
     tp = sum(r.n_pred_triples for r in results)

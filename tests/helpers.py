@@ -275,18 +275,24 @@ def reference_hill_climb(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
 def reference_unary(pred: AmrGraph, gold: AmrGraph) -> np.ndarray:
     """Loop form of ``_Problem.unary``: for each pred variable i and gold
     variable j (in instance-triple order), concept equality plus, per
-    attribute key (case-folded label, constant without quotes), the smaller
-    of the two variables' counts."""
+    attribute key (case-folded label, constant without quotes) and per
+    case-folded self-loop label, the smaller of the two variables'
+    counts."""
     def encode(g):
-        concepts, attrs = {}, {}
+        concepts, keyed = {}, {}
         for t in to_triples(g):
             if t.kind == "instance":
                 concepts[t.src] = t.tgt
-            elif t.kind == "attribute":
-                counts = attrs.setdefault(t.src, {})
-                key = (t.label.casefold(), _norm_const(t.tgt))
-                counts[key] = counts.get(key, 0) + 1
-        return concepts, attrs
+                continue
+            if t.kind == "attribute":
+                key = ("attribute", t.label.casefold(), _norm_const(t.tgt))
+            elif t.src == t.tgt:
+                key = ("self-loop", t.label.casefold())
+            else:
+                continue
+            counts = keyed.setdefault(t.src, {})
+            counts[key] = counts.get(key, 0) + 1
+        return concepts, keyed
 
     pc, pa = encode(pred)
     gc, ga = encode(gold)
@@ -323,38 +329,63 @@ def reference_class_bound(pred: AmrGraph, gold: AmrGraph) -> int:
 
 def reference_pair_bound(pred: AmrGraph, gold: AmrGraph) -> int:
     """Loop form of the pair bound of ``_Problem.upper``.  For pred variable
-    i and gold variable j, ``2 * w[i, j]`` is twice ``reference_unary``,
-    plus per label twice the smaller self-loop count and the smaller
-    out-degree and in-degree over other edges.  The bound is half the
-    smaller of the sum of row maxima and the sum of column maxima, rounded
-    down."""
+    i and gold variable j, ``2 * w[i, j]`` is twice ``reference_unary``
+    (self-loops included), plus per label the smaller out-degree and
+    in-degree over edges between two distinct variables.  The bound is half
+    the smaller of the sum of row maxima and the sum of column maxima,
+    rounded down."""
     def degrees(g):
-        loops, outs, ins = Counter(), Counter(), Counter()
+        outs, ins = Counter(), Counter()
         for t in to_triples(g):
-            if t.kind == "relation":
+            if t.kind == "relation" and t.src != t.tgt:
                 lab = t.label.casefold()
-                if t.src == t.tgt:
-                    loops[t.src, lab] += 1
-                else:
-                    outs[t.src, lab] += 1
-                    ins[t.tgt, lab] += 1
-        return [n.id for n in g.var_nodes()], loops, outs, ins
+                outs[t.src, lab] += 1
+                ins[t.tgt, lab] += 1
+        return [n.id for n in g.var_nodes()], outs, ins
 
     unary = reference_unary(pred, gold)
-    p_vars, p_loops, p_outs, p_ins = degrees(pred)
-    g_vars, g_loops, g_outs, g_ins = degrees(gold)
+    p_vars, p_outs, p_ins = degrees(pred)
+    g_vars, g_outs, g_ins = degrees(gold)
     labels = {t.label.casefold() for g in (pred, gold) for t in to_triples(g) if t.kind == "relation"}
     w2 = [[0] * len(g_vars) for _ in p_vars]
     for i, p in enumerate(p_vars):
         for j, g in enumerate(g_vars):
             w2[i][j] = 2 * int(unary[i, j])
             for lab in labels:
-                w2[i][j] += 2 * min(p_loops[p, lab], g_loops[g, lab])
                 w2[i][j] += min(p_outs[p, lab], g_outs[g, lab])
                 w2[i][j] += min(p_ins[p, lab], g_ins[g, lab])
     rows = sum(max(row, default=0) for row in w2)
     cols = sum(max((row[j] for row in w2), default=0) for j in range(len(g_vars)))
     return min(rows, cols) // 2
+
+
+def reference_best_matched(pred: AmrGraph, gold: AmrGraph) -> int:
+    """Brute-force Smatch optimum from ``to_triples`` alone: over every
+    partial injective mapping of pred variables to gold variables, the
+    multiset overlap (``Counter &``) of the renamed pred triples with the
+    gold triples.  Labels are case-folded and constants lose their quotes;
+    an unmapped variable gets a name no gold variable has."""
+    def counts(g, name):
+        out = Counter()
+        for t in to_triples(g):
+            if t.kind == "instance":
+                out[t.kind, name(t.src), t.tgt] += 1
+            elif t.kind == "attribute":
+                out[t.kind, name(t.src), t.label.casefold(), _norm_const(t.tgt)] += 1
+            else:
+                out[t.kind, name(t.src), t.label.casefold(), name(t.tgt)] += 1
+        return out
+
+    gold_counts = counts(gold, str)
+    p_vars = [n.id for n in pred.var_nodes()]
+    best = 0
+    for cols in product([None] + [n.id for n in gold.var_nodes()], repeat=len(p_vars)):
+        mapped = [c for c in cols if c is not None]
+        if len(mapped) == len(set(mapped)):
+            rename = dict(zip(p_vars, cols))
+            renamed = counts(pred, lambda v: rename[v] or ("unmapped", v))
+            best = max(best, sum((renamed & gold_counts).values()))
+    return best
 
 
 def reference_smatch_hill_climb(

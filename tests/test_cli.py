@@ -69,6 +69,25 @@ class TestExitCodes:
         assert run(["smatch", "--pred", str(amr_file), "--gold", str(other), "--seed", "0"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("records, flags", [
+        (0, ["--restarts", "0"]),
+        (2, ["--restarts", "0"]),
+        (0, ["--seed", str(2**32)]),
+        (2, ["--seed", str(2**32 - 1)]),
+        (2, ["--seed", "-1"]),
+    ], ids=["restarts-0-empty", "restarts-0", "seed-2**32-empty", "seed-past-last-record",
+            "seed-negative"])
+    def test_bad_restarts_or_seed_is_exit_two(self, tmp_path, capsys, records, flags):
+        # checked before any record is scored: no report, one error line
+        path = tmp_path / "g.amr"
+        path.write_text("\n".join([WANT_BOY] * records))
+        assert run(["smatch", "--pred", str(path), "--gold", str(path)] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(("amrkit: error: restarts must be >= 1\n",
+                               f"amrkit: error: seed {flags[1]} out of range for {records} records"))
+        assert len(err.splitlines()) == 1
+
     def test_malformed_input_is_exit_two(self, tmp_path):
         bad = tmp_path / "bad.amr"
         bad.write_text("(w / want-01 :ARG0 (b / boy\n")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amrkit import _match
+from amrkit import _match, smatch
 from amrkit.graph import AmrGraph, Edge, Node, parse_penman, write_amr_file
 from amrkit.linearize import delinearize
 from amrkit.repair import FALLBACK
@@ -29,6 +29,7 @@ from .helpers import (
     CONCEPTS,
     RELATIONS,
     random_graph,
+    reference_best_matched,
     reference_best_score,
     reference_class_bound,
     reference_hill_climb,
@@ -46,9 +47,10 @@ WANT_GIRL = parse_penman("(w / want-01 :ARG0 (g / girl))")
 @st.composite
 def kernel_problems(draw, max_vars=6, max_labels=3):
     """Raw kernel arrays and an injective start mapping, outside what
-    ``_Problem`` builds: either side may be empty, buckets may be self-loops,
-    repeat a pattern or carry multiplicities above one, and the start may
-    leave variables unmapped."""
+    ``_Problem`` builds: either side may be empty, buckets (each joining two
+    distinct variables) may repeat a pattern or carry multiplicities above
+    one, ``grel`` may be nonzero on its diagonal, and the start may leave
+    variables unmapped."""
     n1 = draw(st.integers(0, max_vars))
     n2 = draw(st.integers(0, max_vars))
     n_lab = draw(st.integers(1, max_labels))
@@ -56,12 +58,14 @@ def kernel_problems(draw, max_vars=6, max_labels=3):
     unary = np.array(draw(st.lists(small, min_size=n1 * n2, max_size=n1 * n2)), np.int64)
     n_grel = n2 * n2 * n_lab
     grel = np.array(draw(st.lists(small, min_size=n_grel, max_size=n_grel)), np.int64)
+    # a bucket's target is its source plus a nonzero offset, modulo n1
     buckets = draw(st.lists(
-        st.tuples(st.integers(0, n1 - 1), st.integers(0, n1 - 1),
+        st.tuples(st.integers(0, n1 - 1), st.integers(1, n1 - 1),
                   st.integers(0, n_lab - 1), st.integers(1, 3)),
         max_size=3 * n1,
-    )) if n1 else []
-    rsrc, rtgt, rlab, rcnt = np.array(buckets, np.int64).reshape(-1, 4).T.copy()
+    )) if n1 > 1 else []
+    rsrc, step, rlab, rcnt = np.array(buckets, np.int64).reshape(-1, 4).T.copy()
+    rtgt = (rsrc + step) % max(n1, 1)
     k = draw(st.integers(0, min(n1, n2)))
     rows = draw(st.permutations(range(n1)))[:k]
     cols = draw(st.permutations(range(n2)))[:k]
@@ -373,8 +377,8 @@ class TestBound:
         assert _Problem(pred, gold).upper == 2 == smatch_exact(pred, gold).matched
 
     def test_pair_bound_zero_for_empty_side(self):
-        deg = np.ones((3, 2), np.int64)
-        empty = np.zeros((3, 0), np.int64)
+        deg = np.ones((2, 2), np.int64)
+        empty = np.zeros((2, 0), np.int64)
         assert _pair_upper(np.zeros((0, 2), np.int64), empty, deg) == 0
         assert _pair_upper(np.zeros((2, 0), np.int64), deg, empty) == 0
 
@@ -444,6 +448,21 @@ class TestProperties:
             assert smatch_exact(grown, gold).matched >= res.matched
             checked += 1
 
+    def test_exact_matches_brute_force_over_triples(self):
+        # the oracle against the best triple overlap of every mapping, from
+        # to_triples alone: self-loops, repeated edges and repeated
+        # attributes on both sides
+        rng = np.random.RandomState(39)
+        checked = loops = 0
+        while checked < 150:
+            pred, gold = (_with_repeated_edge(rng, g) for g in random_pair(rng))
+            if max(len(pred.var_nodes()), len(gold.var_nodes())) > 5:
+                continue
+            loops += any(e.src == e.tgt for g in (pred, gold) for e in g.edges)
+            assert smatch_exact(pred, gold).matched == reference_best_matched(pred, gold)
+            checked += 1
+        assert loops >= 50
+
 
 class TestBackendParity:
     def test_unary_matches_loop(self):
@@ -509,10 +528,13 @@ class TestBackendParity:
             assert np.array_equal(m1, m2)
 
     def test_hill_climb_matches_reference_with_unmapped_variables(self):
-        # 20 to 40 variables, a pred self-loop and a pred bucket of count 2,
-        # sides of different sizes and starts that leave variables unmapped
-        # on both sides: the climber's table lookups at its unmapped row and
-        # column, against moves rescored from scratch
+        # 20 to 40 variables, a pred self-loop (in unary) and a pred bucket
+        # of count 2, sides of different sizes and starts that leave
+        # variables unmapped on both sides: the climber's table lookups at
+        # its unmapped row and column, against moves rescored from scratch
+        def mod_loops(g, v):
+            return g.edges.count(Edge(v, ":mod", v))
+
         rng = np.random.RandomState(36)
         for _ in range(10):
             pred = _graph_of_at_least(rng, 20)
@@ -521,16 +543,42 @@ class TestBackendParity:
                 gold = _decorated(rng, _graph_of_at_least(rng, 20))
             v = pred.var_nodes()[rng.randint(len(pred.var_nodes()))].id
             rel = next(e for e in pred.edges if not pred.node(e.tgt).constant)
+            base = AmrGraph(pred.nodes, pred.edges + (rel,), pred.root).check()
             pred = AmrGraph(pred.nodes, pred.edges + (Edge(v, ":mod", v), rel), pred.root).check()
             prob = _Problem(pred, gold)
             (n1, n2), args = prob.unary.shape, prob.kernel_args()
-            assert (prob.rsrc == prob.rtgt).any() and (prob.rcnt > 1).any()
+            assert (prob.rsrc != prob.rtgt).all() and (prob.rcnt > 1).any()
+            # the loop is one more :mod key at v: v's row of unary grows by
+            # one where a gold variable holds more :mod loops than v did,
+            # and the buckets and grel stay as they were without it
+            plain = _Problem(base, gold)
+            for a, b in zip(args[1:], plain.kernel_args()[1:]):
+                assert np.array_equal(a, b)
+            i = [n.id for n in pred.var_nodes()].index(v)
+            gains = [mod_loops(gold, n.id) > mod_loops(base, v) for n in gold.var_nodes()]
+            extra = prob.unary - plain.unary
+            assert extra[i].tolist() == gains and not np.delete(extra, i, 0).any()
+            assert _Problem(pred, pred).unary[i, i] == _Problem(base, base).unary[i, i] + 1
             k = rng.randint(min(n1, n2))
             init = np.full(n1, -1, np.int64)
             init[rng.permutation(n1)[:k]] = rng.permutation(n2)[:k]
             m1, m2 = init.copy(), init.copy()
             assert _match.hill_climb(m1, *args) == reference_hill_climb(m2, *args)
             assert np.array_equal(m1, m2)
+
+    def test_problem_emits_no_self_loop_bucket(self):
+        # self-loops, repeated self-loops included, are one-variable keys:
+        # every bucket joins two distinct variables and grel's diagonal is 0
+        rng = np.random.RandomState(38)
+        loops = 0
+        for _ in range(200):
+            pred, gold = (_with_repeated_edge(rng, g) for g in random_pair(rng))
+            loops += any(e.src == e.tgt for g in (pred, gold) for e in g.edges)
+            prob = _Problem(pred, gold)
+            n2 = prob.grel.shape[0]
+            assert (prob.rsrc != prob.rtgt).all()
+            assert not prob.grel[np.arange(n2), np.arange(n2)].any()
+        assert loops >= 50
 
     def test_hill_climb_memory_is_a_small_multiple_of_grel(self):
         # on a pair of 190 to 200 variables: the gain table is about the
@@ -610,6 +658,34 @@ class TestCorpus:
     def test_jobs_other_than_one_rejected(self):
         with pytest.raises(ValueError):
             corpus_smatch([WANT_BOY], [WANT_BOY], jobs=2)
+
+    @pytest.mark.parametrize("records", [0, 2])
+    def test_restarts_checked_before_any_record(self, records, monkeypatch):
+        scored = []
+        monkeypatch.setattr(smatch, "smatch_hill_climb", lambda *a, **k: scored.append(1))
+        with pytest.raises(ValueError, match="^restarts must be >= 1$"):
+            corpus_smatch([WANT_BOY] * records, [WANT_BOY] * records, restarts=0)
+        assert not scored
+
+    @pytest.mark.parametrize("seed, records, ok", [
+        (0, 0, True), (2**32 - 1, 0, True), (2**32, 0, False), (-1, 0, False),
+        (2**32 - 1, 1, True), (2**32 - 1, 2, False), (2**32 - 2, 2, True), (-1, 2, False),
+    ])
+    def test_seed_range_checked_before_any_record(self, seed, records, ok, monkeypatch):
+        # record i is seeded with seed + i, which numpy takes in [0, 2**32)
+        scored = []
+        climb = smatch.smatch_hill_climb
+        monkeypatch.setattr(smatch, "smatch_hill_climb",
+                            lambda *a, **k: scored.append(k["seed"]) or climb(*a, **k))
+        graphs = [WANT_BOY] * records
+        if ok:
+            assert corpus_smatch(graphs, graphs, seed=seed).n_records == records
+            assert scored == [seed + i for i in range(records)]
+        else:
+            message = rf"^seed {seed} out of range for {records} records: .* \[0, 2\*\*32\)$"
+            with pytest.raises(ValueError, match=message):
+                corpus_smatch(graphs, graphs, seed=seed)
+            assert not scored
 
     def test_file_inputs(self, tmp_path):
         rng = np.random.RandomState(45)
