@@ -122,10 +122,9 @@ def _encode(triples, names, keys, labels):
             (*buckets.T.copy(), np.fromiter(edges.values(), np.int64, len(edges))), ends)
 
 
-class _Problem:
-    """Array encoding of one graph pair for the kernels in ``_match``, and
-    ``upper``, a bound on ``matched`` under any injective mapping: the
-    smaller of two bounds, both computed with numpy alone.
+class _Problem(_match.Pair):
+    """One graph pair as a ``_match.Pair``, with ``upper``, a bound on
+    ``matched`` under any injective mapping: the smaller of two numpy bounds.
 
     A triple is a key at one variable (a concept, an attribute with TOP,
     or a self-loop's label) or an edge between two distinct variables.
@@ -168,12 +167,11 @@ class _Problem:
         unary = np.zeros((n1, n2))
         for t in range(1, min(p_cnt.max(initial=0), g_cnt.max(initial=0)) + 1):
             unary += (p_cnt >= t).astype(float) @ (g_cnt >= t).T
-        self.unary = unary.astype(np.int64)
 
         n_lab = max(len(labels), 1)
-        self.rsrc, self.rtgt, self.rlab, self.rcnt = p_buckets
-        self.grel = np.zeros((n2, n2, n_lab), np.int64)
-        self.grel[g_buckets[:3]] = g_buckets[3]
+        grel = np.zeros((n2, n2, n_lab), np.int64)
+        grel[g_buckets[:3]] = g_buckets[3]
+        super().__init__(unary.astype(np.int64), *p_buckets, grel)
         # deg[2 * label + block, variable]: the edge ends in each cell
         p_deg, g_deg = (
             np.bincount(np.array(ends, np.int64), minlength=2 * n_lab * n).reshape(2 * n_lab, n)
@@ -188,9 +186,6 @@ class _Problem:
             + int(np.minimum(p_deg.sum(1), g_deg.sum(1)).sum()) // 2
         )
         self.upper = min(class_upper, _pair_upper(self.unary, p_deg, g_deg))
-
-    def kernel_args(self):
-        return self.unary, self.rsrc, self.rtgt, self.rlab, self.rcnt, self.grel
 
     def result(self, mapping: np.ndarray, matched: int) -> SmatchResult:
         assign = {
@@ -208,7 +203,7 @@ def smatch_exact(pred: AmrGraph, gold: AmrGraph) -> SmatchResult:
     """Globally optimal score, by the integer linear program of
     ``_match.exact_mapping``.  Any graph size; needs scipy."""
     prob = _Problem(pred, gold)
-    return prob.result(*_match.exact_mapping(*prob.kernel_args()))
+    return prob.result(*_match.exact_mapping(prob))
 
 
 def _smart_init(prob: _Problem, rng: np.random.RandomState) -> np.ndarray:
@@ -272,7 +267,7 @@ def smatch_hill_climb(
     best = -1
     for r in range(restarts):
         mapping = _smart_init(prob, rng) if r == 0 else _random_init(prob, rng)
-        matched = _match.hill_climb(mapping, *prob.kernel_args())
+        matched = _match.hill_climb(mapping, prob)
         if matched > best:
             best = int(matched)
             best_mapping = mapping

@@ -198,6 +198,12 @@ def deterministic_model(vocab: tuple[str, ...], tokens: list[str]) -> ScriptedMo
     return ScriptedModel(vocab, dists)
 
 
+def kernel_arrays(pair) -> tuple:
+    """The six arrays a ``_match.Pair`` was built from, in constructor
+    order, for the reference forms below, which never read its tables."""
+    return pair.unary, pair.rsrc, pair.rtgt, pair.rlab, pair.rcnt, pair.grel
+
+
 def reference_score(mapping, unary, rsrc, rtgt, rlab, rcnt, grel) -> int:
     """Loop form of ``_match.score_mapping`` for one mapping: the unary terms
     of the mapped pred variables plus, per pred relation bucket whose ends
@@ -401,7 +407,7 @@ def reference_smatch_hill_climb(
     best = -1
     for r in range(restarts):
         mapping = _smart_init(prob, rng) if r == 0 else _random_init(prob, rng)
-        matched = _match.hill_climb(mapping, *prob.kernel_args())
+        matched = _match.hill_climb(mapping, prob)
         if matched > best:
             best = int(matched)
             best_mapping = mapping

@@ -88,6 +88,24 @@ class TestExitCodes:
                                f"amrkit: error: seed {flags[1]} out of range for {records} records"))
         assert len(err.splitlines()) == 1
 
+    def test_module_runs_as_script(self, tmp_path, capsys):
+        # python -m amrkit.cli runs a command, exit code and output included
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(amrkit.__file__)))
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "amrkit.cli", *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        path = tmp_path / "g.amr"
+        path.write_text(WANT_BOY)
+        bad = module("smatch", "--pred", str(path), "--gold", str(path), "--restarts", "0")
+        assert (bad.returncode, bad.stdout) == (2, "")
+        assert bad.stderr == "amrkit: error: restarts must be >= 1\n"
+        good = module("report", "--scores", "1,2,3,4,5")
+        assert run(["report", "--scores", "1,2,3,4,5"]) == 0
+        assert (good.returncode, good.stdout, good.stderr) == (0, capsys.readouterr().out, "")
+        assert good.stdout
+
     def test_malformed_input_is_exit_two(self, tmp_path):
         bad = tmp_path / "bad.amr"
         bad.write_text("(w / want-01 :ARG0 (b / boy\n")

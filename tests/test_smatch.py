@@ -28,6 +28,7 @@ from amrkit.smatch import (
 from .helpers import (
     CONCEPTS,
     RELATIONS,
+    kernel_arrays,
     random_graph,
     reference_best_matched,
     reference_best_score,
@@ -322,6 +323,31 @@ class TestHillClimb:
         # the bound cut the restarts on a good share of the pairs
         assert climbs < 0.5 * total
 
+    def test_tables_built_once_per_pair(self, monkeypatch):
+        # every restart reads the one Pair that _Problem builds, and so does
+        # the ILP: counted on the pairs whose best of 6 restarts stays below
+        # the bound, so that no run with 1 to 6 restarts stops early
+        builds, climbs = [], []
+        init, climb = _match.Pair.__init__, _match.hill_climb
+        monkeypatch.setattr(_match.Pair, "__init__", lambda *a: builds.append(1) or init(*a))
+        monkeypatch.setattr(_match, "hill_climb", lambda *a: climbs.append(1) or climb(*a))
+        rng = np.random.RandomState(39)
+        checked = 0
+        for k in range(600):
+            pred, gold = random_pair(rng)
+            res = smatch_hill_climb(pred, gold, restarts=6, seed=k)
+            if res.matched == res.upper_matched:
+                continue
+            for restarts in range(1, 7):
+                builds.clear(), climbs.clear()
+                smatch_hill_climb(pred, gold, restarts=restarts, seed=k)
+                assert (len(builds), len(climbs)) == (1, restarts)
+            builds.clear()
+            smatch_exact(pred, gold)
+            assert len(builds) == 1
+            checked += 1
+        assert checked >= 8
+
 
 class TestBound:
     @given(st.integers(0, 2**31 - 1))
@@ -485,10 +511,10 @@ class TestBackendParity:
             for r in range(50):
                 cols = rng.permutation(n1)[:k]
                 mappings[r, cols] = rng.permutation(n2)[:k]
-            loop = [reference_score(m, *prob.kernel_args()) for m in mappings]
-            assert _match.score_mapping(mappings, *prob.kernel_args()).tolist() == loop
+            loop = [reference_score(m, *kernel_arrays(prob)) for m in mappings]
+            assert _match.score_mapping(mappings, prob).tolist() == loop
             for r in range(0, 50, 7):
-                assert _match.score_mapping(mappings[r], *prob.kernel_args()) == loop[r]
+                assert _match.score_mapping(mappings[r], prob) == loop[r]
 
     @given(kernel_problems(max_vars=5))
     @example((np.full(3, -1, np.int64), (
@@ -504,7 +530,7 @@ class TestBackendParity:
     @settings(max_examples=500, deadline=None)
     def test_exact_mapping_matches_brute_force(self, problem):
         _, args = problem
-        mapping, score = _match.exact_mapping(*args)
+        mapping, score = _match.exact_mapping(_match.Pair(*args))
         n1, n2 = args[0].shape
         assert mapping.shape == (n1,)
         mapped = mapping[mapping >= 0]
@@ -522,8 +548,8 @@ class TestBackendParity:
             init = np.full(n1, -1, dtype=np.int64)
             init[rng.permutation(n1)[:k]] = rng.permutation(n2)[:k]
             m1, m2 = init.copy(), init.copy()
-            s1 = _match.hill_climb(m1, *prob.kernel_args())
-            s2 = reference_hill_climb(m2, *prob.kernel_args())
+            s1 = _match.hill_climb(m1, prob)
+            s2 = reference_hill_climb(m2, *kernel_arrays(prob))
             assert s1 == s2
             assert np.array_equal(m1, m2)
 
@@ -546,13 +572,13 @@ class TestBackendParity:
             base = AmrGraph(pred.nodes, pred.edges + (rel,), pred.root).check()
             pred = AmrGraph(pred.nodes, pred.edges + (Edge(v, ":mod", v), rel), pred.root).check()
             prob = _Problem(pred, gold)
-            (n1, n2), args = prob.unary.shape, prob.kernel_args()
+            (n1, n2), args = prob.unary.shape, kernel_arrays(prob)
             assert (prob.rsrc != prob.rtgt).all() and (prob.rcnt > 1).any()
             # the loop is one more :mod key at v: v's row of unary grows by
             # one where a gold variable holds more :mod loops than v did,
             # and the buckets and grel stay as they were without it
             plain = _Problem(base, gold)
-            for a, b in zip(args[1:], plain.kernel_args()[1:]):
+            for a, b in zip(args[1:], kernel_arrays(plain)[1:]):
                 assert np.array_equal(a, b)
             i = [n.id for n in pred.var_nodes()].index(v)
             gains = [mod_loops(gold, n.id) > mod_loops(base, v) for n in gold.var_nodes()]
@@ -563,7 +589,7 @@ class TestBackendParity:
             init = np.full(n1, -1, np.int64)
             init[rng.permutation(n1)[:k]] = rng.permutation(n2)[:k]
             m1, m2 = init.copy(), init.copy()
-            assert _match.hill_climb(m1, *args) == reference_hill_climb(m2, *args)
+            assert _match.hill_climb(m1, prob) == reference_hill_climb(m2, *args)
             assert np.array_equal(m1, m2)
 
     def test_problem_emits_no_self_loop_bucket(self):
@@ -582,13 +608,14 @@ class TestBackendParity:
 
     def test_hill_climb_memory_is_a_small_multiple_of_grel(self):
         # on a pair of 190 to 200 variables: the gain table is about the
-        # size of grel, and building it reads a grel-sized copy of its labels
+        # size of grel, and building it reads a grel-sized copy of its
+        # labels; the table build and the climb are traced together
         rng = np.random.RandomState(37)
         prob = _Problem(_graph_of_at_least(rng, 190, 200), _graph_of_at_least(rng, 190, 200))
         mapping = _random_init(prob, rng)
         tracemalloc.start()
         try:
-            _match.hill_climb(mapping, *prob.kernel_args())
+            _match.hill_climb(mapping, _match.Pair(*kernel_arrays(prob)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -599,7 +626,7 @@ class TestBackendParity:
     def test_hill_climb_matches_reference_on_raw_kernels(self, problem):
         init, args = problem
         m1, m2 = init.copy(), init.copy()
-        s1 = _match.hill_climb(m1, *args)
+        s1 = _match.hill_climb(m1, _match.Pair(*args))
         s2 = reference_hill_climb(m2, *args)
         assert s1 == s2
         assert np.array_equal(m1, m2)
